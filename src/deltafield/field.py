@@ -68,8 +68,6 @@ class RadialGrid:
       nodes     -- r_i = r_max (i/M)^gamma, i = 0..M
       hat_w     -- weights of the piecewise-linear (hat) nodal quadrature;
                    exact for hat interpolants, sum to the ball volume exactly
-      hat_w_int -- same with the first-cell contributions removed (for
-                   integrands singular at r=0, handled by the mapped rule)
       stiff_k   -- per-cell stiffness coefficients: int_cell measure dr / h^2
       gp, gw    -- flattened Gauss points/weights (weights include the measure)
       gcell     -- cell index of each Gauss point
@@ -108,13 +106,8 @@ class RadialGrid:
         w[:-1] += w_left
         w[1:] += w_right
         self.hat_w = w
-        w_int = w.copy()
-        w_int[0] -= w_left[0]
-        w_int[1] -= w_right[0]
-        self.hat_w_int = w_int
 
         self.stiff_k = c * Ak / h**2
-        self.cell_h = h
 
         # Gauss machinery.
         x6, w6 = np.polynomial.legendre.leggauss(_GAUSS_CELL)
@@ -147,10 +140,6 @@ class RadialGrid:
 
     # -- basic quadrature helpers -------------------------------------------
 
-    def measure(self, r):
-        c = 4.0 * math.pi if self.dim == 3 else 2.0 * math.pi
-        return c * np.asarray(r, dtype=float) ** (self.dim - 1)
-
     def nodal_at_gauss(self, v):
         """Evaluate the piecewise-linear interpolant of nodal values at Gauss points."""
         v = np.asarray(v)
@@ -164,12 +153,10 @@ class RadialGrid:
         return np.dot(self.gw, f(self.gp))
 
     def scatter_to_nodes(self, values_at_gauss):
-        """Return vector c with c . v = integrate_gauss(values * interpolant(v))."""
-        out = np.zeros(self.M + 1, dtype=np.result_type(values_at_gauss, float))
+        """Return vector c with c . v = integrate_gauss(values * interpolant(v)); real values."""
         contrib = self.gw * values_at_gauss
-        np.add.at(out, self.gcell, (1.0 - self.glam) * contrib)
-        np.add.at(out, self.gcell + 1, self.glam * contrib)
-        return out
+        left = np.bincount(self.gcell, (1.0 - self.glam) * contrib, self.M + 1)
+        return left + np.bincount(self.gcell + 1, self.glam * contrib, self.M + 1)
 
     def mass_inner(self, a, b):
         """<a, b> for nodal vectors under the piecewise-linear model (Gauss-exact)."""

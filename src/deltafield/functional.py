@@ -21,12 +21,12 @@ The theta-derivative at 0 is exactly the Pohozaev expression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
-from .field import FieldState, l2_inner
+from .field import FieldState
 from .greens import omega_alpha, xi
 from .nonlinearity import G_eval, dg_signed, g_eval, g_signed
 
@@ -65,12 +65,15 @@ class EnergyBreakdown:
 
 
 def _norms(state):
-    """(||grad phi||^2, ||phi||^2, ||u||^2) in the discrete model."""
+    """(||grad phi||^2, ||phi||^2 - ||u||^2) in the discrete model; the
+    difference in closed form, -(2 Re(conj(q) <phi, G>) + |q|^2 ||G||^2)."""
     grid = state.grid
+    g = grid.green(state.lam)
+    q = state.charge
     grad_sq = float(np.real(grid.stiffness_inner(state.phi, state.phi)))
-    phi_sq = float(np.real(grid.mass_inner(state.phi, state.phi)))
-    u_sq = float(np.real(l2_inner(state, state)))
-    return grad_sq, phi_sq, u_sq
+    cross = np.conjugate(q) * np.dot(g["c_vec"], state.phi)
+    l2_diff = -(2.0 * float(np.real(cross)) + abs(q) ** 2 * g["l2_sq"])
+    return grad_sq, l2_diff
 
 
 def _potential(state, spec):
@@ -81,11 +84,11 @@ def _potential(state, spec):
 def energy(state, spec, strength):
     if strength.dim != state.grid.dim:
         raise ValueError("dimension mismatch between state and interaction strength")
-    grad_sq, phi_sq, u_sq = _norms(state)
+    grad_sq, l2_diff = _norms(state)
     xi_l = xi(state.grid.dim, state.lam)
     return EnergyBreakdown(
         kinetic=0.5 * grad_sq,
-        l2_block=0.5 * state.lam * (phi_sq - u_sq),
+        l2_block=0.5 * state.lam * l2_diff,
         charge_block=0.5 * (strength.alpha + xi_l) * abs(state.charge) ** 2,
         potential=_potential(state, spec),
     )
@@ -98,15 +101,18 @@ def derivative(state, direction, spec, strength):
     if state.lam != direction.lam:
         raise ValueError("lambda mismatch between state and direction")
     grid = state.grid
+    g = grid.green(state.lam)
     xi_l = xi(grid.dim, state.lam)
     u_gp = state.u_at_gauss()
     v_gp = direction.u_at_gauss()
     nl = np.dot(grid.gw, g_eval(spec, u_gp) * np.conjugate(v_gp))
+    q, qv, c = state.charge, np.conjugate(direction.charge), g["c_vec"]
+    # lam (<phi, psi> - <u, v>) with the phi-psi mass term cancelled
+    l2_cross = qv * np.dot(c, state.phi) + q * np.dot(c, np.conjugate(direction.phi))
     val = (
         grid.stiffness_inner(state.phi, direction.phi)
-        + state.lam * grid.mass_inner(state.phi, direction.phi)
-        - state.lam * l2_inner(state, direction)
-        + (strength.alpha + xi_l) * state.charge * np.conjugate(direction.charge)
+        - state.lam * (l2_cross + q * qv * g["l2_sq"])
+        + (strength.alpha + xi_l) * q * qv
         - nl
     )
     return float(np.real(val))
@@ -163,27 +169,28 @@ def _stiffness_banded(grid):
     return diag, off
 
 
-def _mass_banded(grid):
-    gl = grid.glam
-    w = grid.gw
-    diag = np.zeros(grid.M + 1)
-    np.add.at(diag, grid.gcell, w * (1.0 - gl) ** 2)
-    np.add.at(diag, grid.gcell + 1, w * gl**2)
-    off = np.zeros(grid.M)
-    np.add.at(off, grid.gcell, w * gl * (1.0 - gl))
-    return diag, off
-
-
 def _tridiag_from_gauss(grid, coeff_at_gauss):
     """Tridiagonal (diag, off) of sum_g coeff_g hat_i hat_j at the Gauss points."""
-    gl = grid.glam
+    gl, cell, n = grid.glam, grid.gcell, grid.M + 1
     c = grid.gw * coeff_at_gauss
-    diag = np.zeros(grid.M + 1)
-    np.add.at(diag, grid.gcell, c * (1.0 - gl) ** 2)
-    np.add.at(diag, grid.gcell + 1, c * gl**2)
-    off = np.zeros(grid.M)
-    np.add.at(off, grid.gcell, c * gl * (1.0 - gl))
+    diag = np.bincount(cell, c * (1.0 - gl) ** 2, n) + np.bincount(cell + 1, c * gl**2, n)
+    off = np.bincount(cell, c * gl * (1.0 - gl), grid.M)
     return diag, off
+
+
+def _operator(grid, lam):
+    """grid.green(lam), with "mass" (the mass bands) and "riesz_chol" (upper banded
+    Cholesky factor of B = S + lam*M, the coercive norm's profile block) added once."""
+    g = grid.green(lam)
+    if "riesz_chol" not in g:
+        md, mo = _tridiag_from_gauss(grid, 1.0)
+        sd, so = _stiffness_banded(grid)
+        ab = np.zeros((2, grid.M + 1))
+        ab[0, 1:] = so + lam * mo
+        ab[1, :] = sd + lam * md
+        g["mass"] = (md, mo)
+        g["riesz_chol"] = cholesky_banded(ab)
+    return g
 
 
 def riesz_representative(state, strength, grad_phi, grad_q):
@@ -195,14 +202,7 @@ def riesz_representative(state, strength, grad_phi, grad_q):
     grid = state.grid
     if not state.lam > omega_alpha(strength):
         raise ValueError("dual norm needs lambda > omega_alpha")
-    sd, so = _stiffness_banded(grid)
-    md, mo = _mass_banded(grid)
-    diag = sd + state.lam * md
-    off = so + state.lam * mo
-    ab = np.zeros((2, grid.M + 1))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    z_phi = solveh_banded(ab, grad_phi)
+    z_phi = cho_solve_banded((_operator(grid, state.lam)["riesz_chol"], False), grad_phi)
     xi_l = xi(grid.dim, state.lam)
     z_q = grad_q / (strength.alpha + xi_l)
     return z_phi, z_q
@@ -269,14 +269,14 @@ def arrow_solve(diag, off, b, d, rhs_phi, rhs_q):
 
 def extended_energy(theta, state, spec, strength):
     """J(theta, u) = I(u(e^{-theta} .)) via the closed-form block scaling."""
-    grad_sq, phi_sq, u_sq = _norms(state)
+    grad_sq, l2_diff = _norms(state)
     pot = _potential(state, spec)
     n2 = state.grid.dim - 2
     q2 = abs(state.charge) ** 2
     xi_th = xi(state.grid.dim, math.exp(-2.0 * theta) * state.lam)
     return (
         0.5 * math.exp(n2 * theta) * grad_sq
-        + 0.5 * math.exp(n2 * theta) * state.lam * (phi_sq - u_sq)
+        + 0.5 * math.exp(n2 * theta) * state.lam * l2_diff
         + 0.5 * math.exp(2 * n2 * theta) * (strength.alpha + xi_th) * q2
         - math.exp(state.grid.dim * theta) * pot
     )
@@ -285,7 +285,7 @@ def extended_energy(theta, state, spec, strength):
 def extended_energy_dtheta(theta, state, spec, strength):
     """d/dtheta of J, using d xi(e^{-2 theta} lam)/dtheta = -2 e^{-(N-2)theta} lam ||G_lam||^2."""
     grid = state.grid
-    grad_sq, phi_sq, u_sq = _norms(state)
+    grad_sq, l2_diff = _norms(state)
     pot = _potential(state, spec)
     n2 = grid.dim - 2
     q2 = abs(state.charge) ** 2
@@ -294,7 +294,7 @@ def extended_energy_dtheta(theta, state, spec, strength):
     dxi = -2.0 * math.exp(-n2 * theta) * state.lam * g_l2
     return (
         0.5 * n2 * math.exp(n2 * theta) * grad_sq
-        + 0.5 * n2 * math.exp(n2 * theta) * state.lam * (phi_sq - u_sq)
+        + 0.5 * n2 * math.exp(n2 * theta) * state.lam * l2_diff
         + (n2 * (strength.alpha + xi_th) + 0.5 * dxi) * math.exp(2 * n2 * theta) * q2
         - grid.dim * math.exp(grid.dim * theta) * pot
     )
@@ -307,7 +307,7 @@ def pohozaev_residual(state, spec, strength):
     - lam ||G_lam||^2 |q|^2 + (N-2)(alpha + xi_lam)|q|^2 - N int G(u).
     """
     grid = state.grid
-    grad_sq, phi_sq, u_sq = _norms(state)
+    grad_sq, l2_diff = _norms(state)
     pot = _potential(state, spec)
     n2 = grid.dim - 2
     q2 = abs(state.charge) ** 2
@@ -315,7 +315,7 @@ def pohozaev_residual(state, spec, strength):
     g_l2 = grid.green(state.lam)["l2_sq"]
     return (
         0.5 * n2 * grad_sq
-        + 0.5 * n2 * state.lam * (phi_sq - u_sq)
+        + 0.5 * n2 * state.lam * l2_diff
         - state.lam * g_l2 * q2
         + n2 * (strength.alpha + xi_l) * q2
         - grid.dim * pot
@@ -328,13 +328,13 @@ def pohozaev_residual_alt(state, spec, strength):
     form identically through lam ||G_lam||^2 = xi_lam / 2."""
     if state.grid.dim != 3:
         raise ValueError("the alternate Pohozaev form is specific to dimension 3")
-    grad_sq, phi_sq, u_sq = _norms(state)
+    grad_sq, l2_diff = _norms(state)
     pot = _potential(state, spec)
     q2 = abs(state.charge) ** 2
     xi_l = xi(3, state.lam)
     return (
         0.5 * grad_sq
-        + 0.5 * state.lam * (phi_sq - u_sq)
+        + 0.5 * state.lam * l2_diff
         + 0.5 * (strength.alpha + xi_l) * q2
         + 0.5 * strength.alpha * q2
         - 3.0 * pot

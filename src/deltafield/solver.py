@@ -14,23 +14,22 @@ Three layers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .field import (
     FieldState,
-    add,
     change_lambda,
     dilate,
     gauge_fix,
     make_grid,
     resample,
     scale,
-    zero_state,
 )
 from .functional import (
+    _operator,
     arrow_solve,
     energy,
     gradient_norm,
@@ -40,7 +39,7 @@ from .functional import (
     verify,
 )
 from .greens import omega_alpha, xi
-from .nonlinearity import G_eval, g_signed, resolve_omega1
+from .nonlinearity import G_eval, g_signed
 
 __all__ = [
     "SolverConfig",
@@ -254,8 +253,6 @@ def _seed_state(spec, dim, config, grid, lam):
         st = resample(st, grid)
         return FieldState(grid, lam, 0.0, np.real(st.phi)), None
     # bump: a Gaussian at an amplitude that makes the potential term positive
-    from .nonlinearity import check_assumptions
-
     zeta = spec.zeta_hint
     if zeta is None:
         scan = np.geomspace(1e-2, 1e5, 200)
@@ -269,12 +266,13 @@ def _seed_state(spec, dim, config, grid, lam):
     return FieldState(grid, lam, 0.0, phi), None
 
 
-def initial_path(spec, strength, config, grid=None):
+def initial_path(spec, strength, config, grid=None, seed=None):
     """Discretized mountain-pass path: knots k/K * z with z a dilated
     negative-energy state, plus a small mid-path charge bump.
 
     Returns (knots, m0, lam).  The knots share one grid (the seed grid scaled
-    by the dilation factor) and one lambda.
+    by the dilation factor) and one lambda.  seed is the (state, m0) pair of
+    _seed_state on grid when the caller already has it.
     """
     dim = strength.dim
     lam = config.lam if config.lam is not None else solve_lambda(spec, strength)
@@ -283,7 +281,9 @@ def initial_path(spec, strength, config, grid=None):
         r_seed = config.r_max if config.r_max is not None else 20.0 / math.sqrt(min(lam, spec.omega))
         grading = config.grading_exponent
         grid = make_grid(dim, r_seed, config.M, grading, p_growth=spec.p_growth)
-    seed, m0 = _seed_state(spec, dim, config, grid, lam * config.dilation_T**2)
+    if seed is None:
+        seed = _seed_state(spec, dim, config, grid, lam * config.dilation_T**2)
+    seed, m0 = seed
     # Dilation alone can fail to reach negative energy (in 2D the kinetic term
     # is scale-invariant and the scalar ground state has zero potential mass),
     # so amplify the profile when the dilation factor hits its cap.
@@ -430,8 +430,8 @@ def _state_dist(a, b, strength):
     dphi = np.real(np.asarray(a.phi)) - np.real(np.asarray(b.phi))
     dq = float(np.real(a.charge)) - float(np.real(b.charge))
     grad = float(np.dot(grid.stiff_k, np.diff(dphi) ** 2))
-    gl = grid.nodal_at_gauss(dphi)
-    mass = float(np.dot(grid.gw, gl * gl))
+    md, mo = _operator(grid, a.lam)["mass"]
+    mass = float(np.dot(md, dphi * dphi) + 2.0 * np.dot(mo, dphi[:-1] * dphi[1:]))
     xi_l = xi(grid.dim, a.lam)
     return math.sqrt(max(grad + a.lam * mass + (strength.alpha + xi_l) * dq * dq, 0.0))
 
@@ -532,7 +532,9 @@ def mountain_pass(spec, strength, config):
     solve_grid = make_grid(
         dim, r_seed, config.M, config.grading_exponent, p_growth=spec.p_growth
     )
-    knots, m0, _ = initial_path(spec, strength, config, grid=solve_grid)
+    # The seed profile does not depend on lambda: the collapse branch reuses it.
+    seed = _seed_state(spec, dim, config, solve_grid, lam * config.dilation_T**2)
+    knots, m0, _ = initial_path(spec, strength, config, grid=solve_grid, seed=seed)
     energies = [energy(k, spec, strength).total for k in knots]
     trace = []
     theta = 0.0
@@ -581,8 +583,7 @@ def mountain_pass(spec, strength, config):
             # switch to structured Newton restarts around the scalar profile
             collapse_count += 1
             if collapse_count >= 3:
-                seed_phi = _seed_state(spec, dim, config, solve_grid, lam)[0].phi
-                cand = _multistart_newton(spec, strength, config, solve_grid, lam, seed_phi)
+                cand = _multistart_newton(spec, strength, config, solve_grid, lam, seed[0].phi)
                 if cand is not None:
                     refined = cand
                 break

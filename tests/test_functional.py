@@ -386,3 +386,87 @@ def test_verify_complex_state_uses_gauge_fixed_gradient():
     assert report.gradient_norm == pytest.approx(
         gradient_norm(real_state, spec, strength), rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# cancelled L^2 block, cached Riesz factor, bincount assembly
+# ---------------------------------------------------------------------------
+
+
+def _l2_states(grid, lam):
+    real = _random_state(grid, lam, 60)
+    cplx = _random_state(grid, lam, 61, complex_data=True)
+    uncharged = FieldState(grid, lam, 0.0, real.phi)
+    return real, cplx, uncharged
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cancelled_l2_block_matches_direct_form(dim):
+    from deltafield.field import l2_inner
+
+    grid, spec, strength = _setup(dim)
+    lam = 1.0 if dim == 3 else 3.0
+    n2 = dim - 2
+    for st in _l2_states(grid, lam):
+        mass = np.real(grid.mass_inner(st.phi, st.phi))
+        direct = 0.5 * lam * (mass - np.real(l2_inner(st, st)))
+        b = energy(st, spec, strength)
+        assert abs(b.l2_block - direct) <= 1e-12 * (1 + abs(direct))
+        q2 = abs(st.charge) ** 2
+        g_l2 = grid.green(lam)["l2_sq"]
+        poho = (
+            n2 * (b.kinetic + direct)
+            - lam * g_l2 * q2
+            + n2 * (strength.alpha + xi(dim, lam)) * q2
+            - dim * b.potential
+        )
+        got = pohozaev_residual(st, spec, strength)
+        assert abs(got - poho) <= 1e-12 * (1 + abs(poho))
+        if dim == 3:
+            alt = b.kinetic + direct + b.charge_block + 0.5 * strength.alpha * q2 - 3 * b.potential
+            got = pohozaev_residual_alt(st, spec, strength)
+            assert abs(got - alt) <= 1e-12 * (1 + abs(alt))
+
+
+def _add_at_tridiag(grid, coeff):
+    gl, c = grid.glam, grid.gw * coeff
+    diag = np.zeros(grid.M + 1)
+    np.add.at(diag, grid.gcell, c * (1.0 - gl) ** 2)
+    np.add.at(diag, grid.gcell + 1, c * gl**2)
+    off = np.zeros(grid.M)
+    np.add.at(off, grid.gcell, c * gl * (1.0 - gl))
+    return diag, off
+
+
+def test_riesz_cached_factor_matches_fresh_solve_per_lambda():
+    from scipy.linalg import solveh_banded
+
+    grid, spec, strength = _setup(3)
+    md, mo = _add_at_tridiag(grid, 1.0)
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal(grid.M + 1)
+    for lam in (1.0, 2.5, 1.0, 2.5):
+        ab = np.zeros((2, grid.M + 1))
+        ab[0, 1:] = -grid.stiff_k + lam * mo
+        ab[1, :-1] += grid.stiff_k
+        ab[1, 1:] += grid.stiff_k
+        ab[1] += lam * md
+        st = zero_state(grid, lam)
+        zp, zq = riesz_representative(st, strength, rhs, 2.0)
+        np.testing.assert_allclose(zp, solveh_banded(ab, rhs), rtol=1e-10, atol=0)
+        assert zq == pytest.approx(2.0 / (strength.alpha + xi(3, lam)), rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bincount_assembly_matches_add_at(dim):
+    from deltafield.functional import _tridiag_from_gauss
+
+    grid, _, _ = _setup(dim)
+    vals = np.random.default_rng(8).standard_normal(grid.gp.size)
+    ref = np.zeros(grid.M + 1)
+    np.add.at(ref, grid.gcell, (1.0 - grid.glam) * grid.gw * vals)
+    np.add.at(ref, grid.gcell + 1, grid.glam * grid.gw * vals)
+    scale_ = np.max(np.abs(ref))
+    np.testing.assert_allclose(grid.scatter_to_nodes(vals), ref, rtol=1e-13, atol=1e-14 * scale_)
+    for got, want in zip(_tridiag_from_gauss(grid, vals), _add_at_tridiag(grid, vals)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14 * np.max(np.abs(want)))

@@ -234,3 +234,24 @@ def test_theta_mode_smoke():
     result = mountain_pass(SPEC3, STR3, config)
     assert result.iterations <= 5
     assert np.isfinite(result.sigma_estimate)
+
+
+def test_collapse_branch_shoots_once(monkeypatch):
+    # 2D cubic, alpha = 0, omega = 1 <= omega_alpha: the path collapses onto
+    # the zero endpoint and the multistart ladder reuses the path's seed
+    import deltafield.solver as solver
+
+    calls = {"shoot": 0, "multistart": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "scalar_ground_state", counting("shoot", solver.scalar_ground_state))
+    monkeypatch.setattr(solver, "_multistart_newton", counting("multistart", solver._multistart_newton))
+    config = SolverConfig(M=128, max_iters=200, grad_tol=1e-7, grading_exponent=4.0)
+    mountain_pass(SPEC2, STR2, config)
+    assert calls == {"shoot": 1, "multistart": 1}
