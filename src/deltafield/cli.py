@@ -3,7 +3,8 @@
 Three subcommands:
   solve      -- run the mountain-pass solver from a JSON config, write the
                 profile (CSV + sidecar), verification report, iteration trace
-                and a copy of the config; exit 0 converged / 2 not / 1 config.
+                and a copy of the config; exit 0 converged / 2 not / 1 config
+                or no scalar ground-state bracket.
   verify     -- recompute the verification report for a saved profile.
   identities -- closed-form vs quadrature table for the Green's-function
                 scalars over a lambda range.
@@ -35,7 +36,7 @@ from .field import load_profile, save_profile
 from .functional import verify
 from .greens import InteractionStrength, green_l2_norm_sq, GreenKernel, omega_alpha, xi
 from .nonlinearity import check_assumptions, spec_from_dict, spec_to_dict
-from .solver import SolverConfig, mountain_pass
+from .solver import ShootingError, SolverConfig, mountain_pass
 
 __all__ = ["main", "parse_config"]
 
@@ -108,8 +109,12 @@ def _cmd_solve(args):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
+    try:
+        result = mountain_pass(spec, strength, config)
+    except ShootingError as exc:
+        print("shooting error: %s" % exc, file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
-    result = mountain_pass(spec, strength, config)
     save_profile(result.state, os.path.join(args.out, "profile.csv"))
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         json.dump(

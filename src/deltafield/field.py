@@ -241,9 +241,6 @@ class FieldState:
         g = self.grid.green(self.lam)
         return self.grid.nodal_at_gauss(self.phi) + self.charge * g["gp"]
 
-    def is_real(self):
-        return not np.iscomplexobj(self.phi) and not isinstance(self.charge, complex)
-
 
 def zero_state(grid, lam):
     return FieldState(grid, lam, 0.0, np.zeros(grid.M + 1))

@@ -26,15 +26,10 @@ __all__ = [
     "xi",
     "omega_alpha",
     "green_value",
-    "green_value_deriv",
-    "green_sing",
-    "green_sing_deriv",
     "regular_part_at_origin",
     "green_l2_norm_sq",
     "green_lp_norm",
     "green_difference",
-    "k0_series",
-    "k0_asymptotic",
 ]
 
 # Euler-Mascheroni constant, 20 significant digits.
@@ -112,45 +107,6 @@ def green_value(kernel, r):
     return out if out.ndim else float(out)
 
 
-def green_value_deriv(kernel, r):
-    """dG_lam/dr for r > 0.  Diagnostic only; accuracy near r=0 is not certified in 2D."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("green_value_deriv needs r > 0")
-    s = math.sqrt(kernel.lam)
-    if kernel.dim == 3:
-        out = -np.exp(-s * r) * (s * r + 1.0) / (4.0 * math.pi * r**2)
-    else:
-        out = -s * special.k1(s * r) / (2.0 * math.pi)
-    return out if out.ndim else float(out)
-
-
-def green_sing(dim, r):
-    """Fundamental-solution singular part: 1/(4 pi r) in 3D, -log(r)/(2 pi) in 2D."""
-    _check_dim(dim)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("green_sing needs r > 0")
-    if dim == 3:
-        out = 1.0 / (4.0 * math.pi * r)
-    else:
-        out = -np.log(r) / (2.0 * math.pi)
-    return out if out.ndim else float(out)
-
-
-def green_sing_deriv(dim, r):
-    """d/dr of the singular part; satisfies r * d/dr = -G_sing exactly in 3D."""
-    _check_dim(dim)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("green_sing_deriv needs r > 0")
-    if dim == 3:
-        out = -1.0 / (4.0 * math.pi * r**2)
-    else:
-        out = -1.0 / (2.0 * math.pi * r)
-    return out if out.ndim else float(out)
-
-
 def regular_part_at_origin(kernel):
     """lim_{r->0} (G_lam(r) - G_sing(r)) = -xi_lam."""
     return -xi(kernel.dim, kernel.lam)
@@ -206,52 +162,3 @@ def green_difference(dim, lam1, lam2, r):
     a = green_value(GreenKernel(dim, lam1), r)
     b = green_value(GreenKernel(dim, lam2), r)
     return a - b
-
-
-# ---------------------------------------------------------------------------
-# Independent K0 oracles (ascending series and large-argument asymptotics).
-# These are not used by green_value (scipy's k0 is machine-accurate over the
-# whole range); they exist so tests can cross-check K0 by two unrelated routes.
-# ---------------------------------------------------------------------------
-
-
-def k0_series(z, terms=30):
-    """Ascending series for K0, accurate to ~1e-14 for 0 < z <= 2.
-
-    K0(z) = -(log(z/2) + gamma) I0(z) + sum_{k>=1} (z^2/4)^k / (k!)^2 * H_k
-    with H_k the harmonic numbers.
-    """
-    if z <= 0:
-        raise ValueError("k0_series needs z > 0")
-    x = z * z / 4.0
-    i0 = 1.0
-    term = 1.0
-    corr = 0.0
-    hk = 0.0
-    for k in range(1, terms + 1):
-        term *= x / (k * k)
-        hk += 1.0 / k
-        i0 += term
-        corr += term * hk
-    return -(math.log(z / 2.0) + EULER_GAMMA) * i0 + corr
-
-
-def k0_asymptotic(z, terms=30):
-    """Large-argument expansion K0(z) ~ sqrt(pi/2z) e^{-z} sum_k a_k / z^k.
-
-    The series is divergent; summation stops at the smallest term.  Relative
-    error ~ the first omitted term, below 1e-13 for z >= 20.
-    """
-    if z <= 0:
-        raise ValueError("k0_asymptotic needs z > 0")
-    total = 1.0
-    ak = 1.0
-    prev = 1.0
-    for k in range(1, terms + 1):
-        ak *= -((2 * k - 1) ** 2) / (8.0 * k)
-        t = ak / z**k
-        if abs(t) >= abs(prev):
-            break
-        total += t
-        prev = t
-    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * total

@@ -30,6 +30,7 @@ __all__ = [
     "g_eval",
     "G_eval",
     "g_signed",
+    "g_float",
     "dg_signed",
     "h_eval",
     "H_eval",
@@ -122,31 +123,30 @@ def saturating_family(omega, p, q):
     return NonlinearitySpec(omega=omega, sat=(p, q), p_growth=p)
 
 
-def _superlinear(spec, s):
-    """The positive-degree part of g on s >= 0 (vectorized)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
+def g_scalar(spec, s, log1p=np.log1p):
+    """g on s >= 0: an array, or a Python float with log1p=math.log1p (then
+    no numpy call is made)."""
+    out = 0.0
     for t in spec.terms:
         piece = t.coef * s ** (t.exponent - 1.0)
         if t.log_factor:
-            piece = piece * np.log1p(s)
+            piece = piece * log1p(s)
         out = out + piece
     if spec.sat is not None:
         p, q = spec.sat
         out = out + s ** (p - 1.0) / (1.0 + s ** (p - q))
-    return out
-
-
-def g_scalar(spec, s):
-    """g on s >= 0 (vectorized)."""
-    s = np.asarray(s, dtype=float)
-    return -spec.omega * s + _superlinear(spec, s)
+    return -spec.omega * s + out
 
 
 def g_signed(spec, s):
     """Odd extension of g to real s (the real-gauge evaluation)."""
     s = np.asarray(s, dtype=float)
     return np.sign(s) * g_scalar(spec, np.abs(s))
+
+
+def g_float(spec, s):
+    """g_signed at one Python float, without numpy (the shooting right-hand side)."""
+    return math.copysign(1.0, s) * g_scalar(spec, abs(s), math.log1p)
 
 
 def dg_signed(spec, s, h=None):

@@ -2,7 +2,10 @@
 
 Three layers:
   * scalar_ground_state -- radial shooting baseline for the equation without
-    point interaction (q = 0), giving the reference energy m0;
+    point interaction (q = 0), giving the reference energy m0.  It bisects on
+    u(0); each shot is a Dormand-Prince 5(4) integration on Python floats
+    (scipy's RK45 tableau and step controller), classified by sign changes at
+    step ends, and the profile comes from the final shot's dense output;
   * mountain_pass -- path deformation: start from the segment joining the zero
     state to a dilated negative-energy state (with a small charge perturbation
     so the optimizer can move in q), repeatedly push the maximizing knot along
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 
 from .field import (
     FieldState,
@@ -39,7 +42,7 @@ from .functional import (
     verify,
 )
 from .greens import omega_alpha, xi
-from .nonlinearity import G_eval, g_signed
+from .nonlinearity import G_eval, g_float, g_signed
 
 __all__ = [
     "SolverConfig",
@@ -123,48 +126,110 @@ def solve_lambda(spec, strength):
 # ---------------------------------------------------------------------------
 
 
-def _shoot_classify(spec, dim, a, r_end):
-    """Integrate u'' + (N-1)/r u' + g(u) = 0 from u(0)=a, u'(0)=0.
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with Shampine's quartic
+# dense output (Math. Comp. 46, 1986): scipy's RK45 tableau, initial-step rule
+# and step controller, stepping the 2-vector (u, u') on Python floats, where
+# numpy's per-call overhead would cost more than the arithmetic.
+_DP_STAGES = list(zip(RK45.C.tolist(), [row[:i] for i, row in enumerate(RK45.A.tolist())]))[1:]
+_DP_B = RK45.B.tolist()
+_DP_E = RK45.E.tolist()
 
-    Returns ('over', sol) if u crosses zero, ('under', sol) if u turns back up
-    while still positive, ('decay', sol) if it just decays to r_end.
+
+def _rms(x, y):
+    return math.sqrt(x * x + y * y) / math.sqrt(2.0)
+
+
+def _shoot(spec, dim, a, r_end, keep=False):
+    """Integrate u'' + (N-1)/r u' + g(u) = 0 from u(0)=a, u'(0)=0 to r_end.
+
+    Returns (kind, steps).  kind is 'over' if u goes from >= 0 to <= 0 over a
+    step, 'under' if u' goes from <= 0 to >= 0 while u > 1e-10 a, else 'decay'
+    (also when the step size underflows).  Signs are compared at step ends,
+    as scipy's terminal-event search does.  With keep, steps lists (r, r_next,
+    u, k_u) per accepted step, k_u the seven stage slopes of u, for _dense_u.
     """
-    r0 = 1e-8
+    rtol, atol, max_step = 1e-10, 1e-12 * a, r_end / 50.0
 
-    def rhs(r, y):
-        return [y[1], -(dim - 1) / r * y[1] - g_signed(spec, y[0])]
+    def f(r, u, v):
+        return v, -(dim - 1) / r * v - g_float(spec, u)
 
-    ga = float(g_signed(spec, a))
-    y0 = [a - ga * r0**2 / (2.0 * dim), -ga * r0 / dim]
+    r = 1e-8
+    ga = g_float(spec, a)
+    u, v = a - ga * r**2 / (2.0 * dim), -ga * r / dim
+    fu, fv = f(r, u, v)
+    # scipy's select_initial_step (Hairer, Norsett, Wanner, sec. II.4)
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = _rms(u / su, v / sv), _rms(fu / su, fv / sv)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, r_end - r)
+    gu, gv = f(r + h0, u + h0 * fu, v + h0 * fv)
+    d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, r_end - r, max_step)
+    turn = v if u > 1e-10 * a else -1.0
+    steps = []
+    while True:
+        min_step = 10 * math.ulp(r)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return "decay", steps
+            r_next = min(r + h_abs, r_end)
+            h = r_next - r
+            ku, kv = [fu], [fv]
+            for c, row in _DP_STAGES:
+                du = dv = 0.0
+                for aj, kuj, kvj in zip(row, ku, kv):
+                    du += aj * kuj
+                    dv += aj * kvj
+                gu, gv = f(r + c * h, u + du * h, v + dv * h)
+                ku.append(gu)
+                kv.append(gv)
+            du = dv = 0.0
+            for bj, kuj, kvj in zip(_DP_B, ku, kv):
+                du += bj * kuj
+                dv += bj * kvj
+            u_next, v_next = u + h * du, v + h * dv
+            fu_next, fv_next = f(r + h, u_next, v_next)
+            ku.append(fu_next)
+            kv.append(fv_next)
+            eu = ev = 0.0
+            for ej, kuj, kvj in zip(_DP_E, ku, kv):
+                eu += ej * kuj
+                ev += ej * kvj
+            err = _rms(
+                eu * h / (atol + max(abs(u), abs(u_next)) * rtol),
+                ev * h / (atol + max(abs(v), abs(v_next)) * rtol),
+            )
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err**-0.2)
+                h_abs = h * (min(1, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err**-0.2)
+            rejected = True
+        if keep:
+            steps.append((r, r_next, u, ku))
+        u_prev = u
+        r, u, v, fu, fv = r_next, u_next, v_next, fu_next, fv_next
+        if u_prev >= 0 and u <= 0:
+            return "over", steps
+        turn_prev, turn = turn, (v if u > 1e-10 * a else -1.0)
+        if turn_prev <= 0 and turn >= 0:
+            return "under", steps
+        if r >= r_end:
+            return "decay", steps
 
-    def cross(r, y):
-        return y[0]
 
-    cross.terminal = True
-    cross.direction = -1
-
-    def turn(r, y):
-        # u' crossing zero upward while u is still visibly positive
-        return y[1] if y[0] > 1e-10 * a else -1.0
-
-    turn.terminal = True
-    turn.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (r0, r_end),
-        y0,
-        rtol=1e-10,
-        atol=1e-12 * a,
-        events=(cross, turn),
-        dense_output=True,
-        max_step=r_end / 50.0,
-    )
-    if sol.t_events[0].size:
-        return "over", sol
-    if sol.t_events[1].size:
-        return "under", sol
-    return "decay", sol
+def _dense_u(steps, t):
+    """u at the radii t (an array) from the quartic dense output of the steps."""
+    ts = np.array([s[0] for s in steps] + [steps[-1][1]])
+    hs = np.diff(ts)
+    u0 = np.array([s[2] for s in steps])
+    Q = np.array([s[3] for s in steps]) @ RK45.P
+    i = np.clip(np.searchsorted(ts, t) - 1, 0, len(steps) - 1)
+    x = (t - ts[i]) / hs[i]
+    powers = np.cumprod(np.repeat(x[:, None], Q.shape[1], axis=1), axis=1)
+    return u0[i] + hs[i] * np.sum(Q[i] * powers, axis=1)
 
 
 def scalar_ground_state(spec, dim, grid, lam=None):
@@ -179,12 +244,11 @@ def scalar_ground_state(spec, dim, grid, lam=None):
     r_end = max(grid.r_max, 30.0 / math.sqrt(spec.omega))
     # bracket: scan upward from the smallest amplitude with g(a) > 0
     scan = np.geomspace(1e-2, 1e5, 120)
-    positive = [a for a in scan if g_signed(spec, a) > 0 and G_eval(spec, a) is not None]
     a_under = None
     a_over = None
     trace = []
-    for a in positive:
-        kind, _ = _shoot_classify(spec, dim, a, r_end)
+    for a in scan[g_signed(spec, scan) > 0].tolist():
+        kind, _ = _shoot(spec, dim, a, r_end)
         trace.append((a, kind))
         if kind in ("under", "decay"):
             a_under = a
@@ -197,26 +261,27 @@ def scalar_ground_state(spec, dim, grid, lam=None):
         mid = 0.5 * (a_under + a_over)
         if mid == a_under or mid == a_over:
             break
-        kind, _ = _shoot_classify(spec, dim, mid, r_end)
+        kind, _ = _shoot(spec, dim, mid, r_end)
         if kind == "over":
             a_over = mid
         else:
             a_under = mid
     a_star = 0.5 * (a_under + a_over)
-    kind, sol = _shoot_classify(spec, dim, a_star, r_end)
+    _, steps = _shoot(spec, dim, a_star, r_end, keep=True)
+    r_first, r_last = steps[0][0], steps[-1][1]
     # trusted radius: where the profile falls below a small fraction of u(0)
-    t_dense = np.linspace(sol.t[0], sol.t[-1], 4000)
-    u_dense = sol.sol(t_dense)[0]
+    t_dense = np.linspace(r_first, r_last, 4000)
+    u_dense = _dense_u(steps, t_dense)
     tiny = np.nonzero(u_dense < 1e-9 * a_star)[0]
-    r_cut = t_dense[tiny[0]] if tiny.size else sol.t[-1]
-    u_cut = float(sol.sol(r_cut)[0])
+    cut = tiny[0] if tiny.size else -1
+    r_cut, u_cut = t_dense[cut], float(u_dense[cut])
 
     nodes = grid.nodes
     phi = np.empty(grid.M + 1)
-    inner = nodes <= sol.t[0]
+    inner = nodes <= r_first
     mid_mask = (~inner) & (nodes <= r_cut)
     phi[inner] = a_star
-    phi[mid_mask] = sol.sol(nodes[mid_mask])[0]
+    phi[mid_mask] = _dense_u(steps, nodes[mid_mask])
     tail = nodes > r_cut
     if np.any(tail):
         s = math.sqrt(spec.omega)

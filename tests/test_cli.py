@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import deltafield
 from deltafield.cli import ConfigError, main, parse_config
 from deltafield.field import make_grid, save_profile, zero_state
 from deltafield.greens import EULER_GAMMA
@@ -94,6 +98,25 @@ def test_solve_invalid_json_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+
+
+def test_solve_shooting_failure_exits_1(tmp_path):
+    # g(s) = -1e12 s + s^1.5 is negative on the whole bracket scan, so the
+    # scalar seed has no shooting bracket; run as a process to see stderr whole
+    cfg = _write(tmp_path, _config(omega=1e12, solver={"M": 128}))
+    out = tmp_path / "run"
+    src = os.path.dirname(os.path.dirname(deltafield.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltafield.cli", "solve", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert "shooting error: no shooting bracket found" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from deltafield.field import FieldState, make_grid, save_profile
 from deltafield.functional import energy, gradient_norm, pohozaev_residual
 from deltafield.greens import EULER_GAMMA, InteractionStrength
-from deltafield.nonlinearity import power_family
+from deltafield.nonlinearity import (
+    NonlinearitySpec,
+    PowerTerm,
+    double_power_family,
+    g_float,
+    g_signed,
+    log_power_family,
+    power_family,
+    saturating_family,
+)
 from deltafield.solver import (
     NewtonError,
     SolverConfig,
+    _shoot,
     initial_path,
     mountain_pass,
     newton_refine,
@@ -82,6 +93,111 @@ def test_ground_state_pohozaev(ground3):
     res = pohozaev_residual(state, SPEC3, STR3)
     scale = energy(state, SPEC3, STR3).kinetic
     assert abs(res) <= 1e-3 * scale
+
+
+# ---------------------------------------------------------------------------
+# the shooting integrator against solve_ivp, and pinned seeds
+# ---------------------------------------------------------------------------
+
+
+def _solve_ivp_shot(spec, dim, a, r_end):
+    """The shot written on solve_ivp's RK45 with terminal events, the oracle
+    for the solver's own Dormand-Prince integrator: (verdict, step radii)."""
+    r0 = 1e-8
+
+    def rhs(r, y):
+        return [y[1], -(dim - 1) / r * y[1] - g_signed(spec, y[0])]
+
+    def cross(r, y):
+        return y[0]
+
+    def turn(r, y):
+        return y[1] if y[0] > 1e-10 * a else -1.0
+
+    cross.terminal = turn.terminal = True
+    cross.direction, turn.direction = -1, 1
+    ga = float(g_signed(spec, a))
+    sol = solve_ivp(
+        rhs,
+        (r0, r_end),
+        [a - ga * r0**2 / (2.0 * dim), -ga * r0 / dim],
+        rtol=1e-10,
+        atol=1e-12 * a,
+        events=(cross, turn),
+        max_step=r_end / 50.0,
+    )
+    if sol.t_events[0].size:
+        return "over", sol.t
+    return ("under" if sol.t_events[1].size else "decay"), sol.t
+
+
+SHOOT_CASES = {
+    "power-3d": (3, SPEC3),
+    "cubic-2d": (2, SPEC2),
+    "double_power-3d": (3, double_power_family(1.0, 1.0, 2.5, 2.8, mu2=-0.1)),
+    "log_power-2d": (2, log_power_family(1.0, 3.0)),
+    "saturating-2d": (2, saturating_family(1.0, 4.0, 2.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHOOT_CASES))
+def test_shoot_verdicts_match_solve_ivp(case):
+    dim, spec = SHOOT_CASES[case]
+    r_end = 30.0 / math.sqrt(spec.omega)
+    state, _ = scalar_ground_state(spec, dim, make_grid(dim, r_end, 256, 2.0))
+    a_star = float(state.phi[0])
+    verdicts = set()
+    for rel in (1e-6, 1e-4, 1e-2, 0.2):
+        for a in (a_star * (1.0 - rel), a_star * (1.0 + rel)):
+            kind, steps = _shoot(spec, dim, a, r_end, keep=True)
+            want, radii = _solve_ivp_shot(spec, dim, a, r_end)
+            assert kind == want, (a, kind)
+            verdicts.add(kind)
+            # same step sequence: summation order in the error estimate makes
+            # the radii differ in the last digits, never by a rejected step;
+            # solve_ivp ends its last step at the event root
+            got = [steps[0][0]] + [s[1] for s in steps]
+            assert len(got) == len(radii)
+            np.testing.assert_allclose(got[:-1], radii[:-1], rtol=1e-5)
+    assert "over" in verdicts and len(verdicts) >= 2
+
+
+G_FAMILIES = {
+    "power": power_family(1.0, 2.5),
+    "cubic": power_family(1.0, 4.0),
+    "double_power": double_power_family(2.0, 1.5, 3.0, 4.0, mu2=-0.25),
+    "log_power": log_power_family(1.0, 3.0),
+    "saturating": saturating_family(1.0, 4.0, 2.5),
+    "custom_terms": NonlinearitySpec(
+        omega=0.7, terms=(PowerTerm(2.0, 3.5), PowerTerm(-0.5, 2.5, log_factor=True)),
+        p_growth=3.6, sat=(3.0, 2.2),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(G_FAMILIES))
+def test_g_float_matches_g_signed(family):
+    spec = G_FAMILIES[family]
+    for s in (0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 7.3, -7.3, 1e5, -1e5):
+        got = g_float(spec, s)
+        assert type(got) is float
+        np.testing.assert_allclose(got, g_signed(spec, s), rtol=1e-14, atol=0)
+
+
+# u(0) and m0 of the parent implementation (solve_ivp shooting) on the
+# acceptance grids: M = 2048, grading 4, r_seed = 20 / sqrt(min(lambda, omega))
+@pytest.mark.parametrize(
+    "dim,spec,a_star,m0",
+    [
+        (3, SPEC3, 4.2765416968596295, 81.463195609046068),
+        (2, SPEC2, 2.2062008646912092, 5.8504611316264583),
+    ],
+)
+def test_seed_pinned_on_acceptance_grid(dim, spec, a_star, m0):
+    grid = make_grid(dim, 20.0, 2048, 4.0, p_growth=spec.p_growth)
+    state, got_m0 = scalar_ground_state(spec, dim, grid)
+    assert float(state.phi[0]) == pytest.approx(a_star, rel=1e-12, abs=0)
+    assert got_m0 == pytest.approx(m0, rel=1e-10, abs=0)
 
 
 # ---------------------------------------------------------------------------
