@@ -9,15 +9,11 @@ construction with Newton refinement.
 
 from .greens import (  # noqa: F401
     EULER_GAMMA,
-    NOT_IN_LP,
     GreenKernel,
     InteractionStrength,
-    green_difference,
     green_l2_norm_sq,
-    green_lp_norm,
     green_value,
     omega_alpha,
-    regular_part_at_origin,
     xi,
 )
 

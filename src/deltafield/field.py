@@ -148,10 +148,6 @@ class RadialGrid:
     def integrate_gauss(self, values_at_gauss):
         return np.dot(self.gw, values_at_gauss)
 
-    def integrate_callable(self, f):
-        """High-order integral of f(r) against the measure over the ball (f smooth for r>0)."""
-        return np.dot(self.gw, f(self.gp))
-
     def scatter_to_nodes(self, values_at_gauss):
         """Return vector c with c . v = integrate_gauss(values * interpolant(v)); real values."""
         contrib = self.gw * values_at_gauss

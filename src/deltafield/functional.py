@@ -245,16 +245,16 @@ def hessian_blocks(state, spec, strength):
 def arrow_solve(diag, off, b, d, rhs_phi, rhs_q):
     """Solve the symmetric arrow system [[T, b], [b^T, d]] x = rhs.
 
-    T is tridiagonal (diag, off); solved by block elimination with two banded
-    solves, so the cost stays linear in the grid size.
+    T is tridiagonal (diag, off); solved by block elimination with one banded
+    solve on the two right-hand sides, so the cost stays linear in the grid
+    size.
     """
     n = len(diag)
     ab = np.zeros((3, n))
     ab[0, 1:] = off
     ab[1, :] = diag
     ab[2, :-1] = off
-    x1 = solve_banded((1, 1), ab, rhs_phi)
-    x2 = solve_banded((1, 1), ab, b)
+    x1, x2 = solve_banded((1, 1), ab, np.column_stack([rhs_phi, b])).T
     denom = d - float(np.dot(b, x2))
     if denom == 0.0:
         raise np.linalg.LinAlgError("arrow system is singular")

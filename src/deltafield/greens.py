@@ -5,9 +5,9 @@ Everything here is closed-form: the kernel
     G_lam(r) = e^{-sqrt(lam) r} / (4 pi r)      (N = 3, Yukawa)
     G_lam(r) = K0(sqrt(lam) r) / (2 pi)         (N = 2, modified Bessel)
 
-its regular part at the origin -xi_lam, the coercivity threshold omega_alpha,
-and the L^2 / L^p norms.  Quadrature never appears in this module; it is used
-only by tests to cross-check these formulas.
+the scalar xi_lam (G_lam(r) - G_sing(r) -> -xi_lam as r -> 0), the
+coercivity threshold omega_alpha, and the L^2 norm.  Quadrature never appears
+in this module; it is used only by tests to cross-check these formulas.
 """
 
 from __future__ import annotations
@@ -16,20 +16,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "EULER_GAMMA",
     "GreenKernel",
     "InteractionStrength",
-    "NOT_IN_LP",
     "xi",
     "omega_alpha",
     "green_value",
-    "regular_part_at_origin",
     "green_l2_norm_sq",
-    "green_lp_norm",
-    "green_difference",
 ]
 
 # Euler-Mascheroni constant, 20 significant digits.
@@ -107,58 +103,8 @@ def green_value(kernel, r):
     return out if out.ndim else float(out)
 
 
-def regular_part_at_origin(kernel):
-    """lim_{r->0} (G_lam(r) - G_sing(r)) = -xi_lam."""
-    return -xi(kernel.dim, kernel.lam)
-
-
 def green_l2_norm_sq(kernel):
     """||G_lam||_2^2 closed form: xi_lam/(2 lam) in 3D, 1/(4 pi lam) in 2D."""
     if kernel.dim == 3:
         return xi(3, kernel.lam) / (2.0 * kernel.lam)
     return 1.0 / (4.0 * math.pi * kernel.lam)
-
-
-class _NotInLp:
-    """Typed signal: the kernel fails to belong to L^p for the requested p."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NOT_IN_LP"
-
-
-NOT_IN_LP = _NotInLp()
-
-
-def green_lp_norm(kernel, p):
-    """||G_lam||_p, or the NOT_IN_LP signal outside the integrability range.
-
-    3D: finite iff 1 <= p < 3, closed form
-        (4 pi)^{(1-p)/p} * [Gamma(3-p) / (p sqrt(lam))^{3-p}]^{1/p}.
-    2D: finite for every p >= 1 (log singularity), computed by adaptive quadrature.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1, got %r" % (p,))
-    if kernel.dim == 3:
-        if p >= 3:
-            return NOT_IN_LP
-        s = math.sqrt(kernel.lam)
-        integral = (4.0 * math.pi) ** (1.0 - p) * special.gamma(3.0 - p) / (p * s) ** (3.0 - p)
-        return integral ** (1.0 / p)
-    # 2D: substitute t = sqrt(lam) r, integral = 2 pi lam^{-1} (2 pi)^{-p} int t K0(t)^p dt
-    val, _err = integrate.quad(lambda t: t * special.k0(t) ** p, 0.0, 60.0, limit=200)
-    integral = 2.0 * math.pi / kernel.lam * (2.0 * math.pi) ** (-p) * val
-    return integral ** (1.0 / p)
-
-
-def green_difference(dim, lam1, lam2, r):
-    """G_{lam1}(r) - G_{lam2}(r); bounded as r -> 0 with limit xi_{lam2} - xi_{lam1}."""
-    _check_dim(dim)
-    if lam1 == lam2:
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        return out if out.ndim else 0.0
-    a = green_value(GreenKernel(dim, lam1), r)
-    b = green_value(GreenKernel(dim, lam2), r)
-    return a - b

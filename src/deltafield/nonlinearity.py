@@ -33,7 +33,6 @@ __all__ = [
     "g_float",
     "dg_signed",
     "h_eval",
-    "H_eval",
     "resolve_omega1",
     "growth_bounds",
     "check_assumptions",
@@ -225,21 +224,6 @@ def h_eval(spec, s, strength=None, omega1=None):
         omega1 = resolve_omega1(spec, strength)
     s = np.asarray(s, dtype=float)
     return np.maximum(omega1 * s + g_scalar(spec, s), 0.0)
-
-
-def H_eval(spec, s, strength=None, omega1=None, n_quad=256):
-    """Antiderivative of h by composite quadrature (h has a kink at its root)."""
-    if omega1 is None:
-        if strength is None:
-            raise ValueError("H_eval needs either omega1 or an interaction strength")
-        omega1 = resolve_omega1(spec, strength)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    # composite midpoint on n_quad panels, vectorized over s
-    t = (np.arange(n_quad) + 0.5) / n_quad
-    pts = s[..., None] * t
-    vals = h_eval(spec, pts, omega1=omega1)
-    out = s * vals.mean(axis=-1)
-    return float(out[0]) if out.shape == (1,) else out
 
 
 def growth_bounds(spec, margin=1.05):

@@ -24,7 +24,6 @@ from scipy.integrate import RK45
 
 from .field import (
     FieldState,
-    change_lambda,
     dilate,
     gauge_fix,
     make_grid,
@@ -66,14 +65,12 @@ class SolverConfig:
     newton_tol: float = 1e-10
     dilation_T: float = 4.0
     seed_profile: str = "scalar_ground_state"  # bump | scalar_ground_state | file
-    theta_mode: bool = False
     q_amplitude: float = 0.1
     newton_switch: float = 5e-2
     M: int = 512
     r_max: float | None = None
     grading_exponent: float | None = None
     lam: float | None = None
-    seed: int = 0
     seed_file: str | None = None
     freeze_charge: bool = False
     dilation_T_cap: float = 64.0
@@ -256,7 +253,10 @@ def scalar_ground_state(spec, dim, grid, lam=None):
             a_over = a
             break
     if a_over is None or a_under is None:
-        raise ShootingError("no shooting bracket found; scan trace: %r" % (trace[-10:],))
+        why = "scan trace: %r" % (trace[-10:],)
+        if not trace:
+            why = "g(a) <= 0 on all of [%g, %g]" % (scan[0], scan[-1])
+        raise ShootingError("no shooting bracket found; " + why)
     for _ in range(200):
         mid = 0.5 * (a_under + a_over)
         if mid == a_under or mid == a_over:
@@ -530,25 +530,6 @@ def _reparametrize(knots, strength):
     return out
 
 
-def _theta_descent(knot, theta, spec, strength, step0):
-    """Augmented descent step in (theta, u) for the extended functional."""
-    from .functional import extended_energy, extended_energy_dtheta
-
-    dth = extended_energy_dtheta(theta, knot, spec, strength)
-    e0 = extended_energy(theta, knot, spec, strength)
-    t = step0
-    if abs(dth) > 0:
-        # cap the theta move at 0.5 per step: exp(theta) feeds grid dilation,
-        # so unbounded moves overflow long before they help
-        t = min(t, 0.5 / abs(dth))
-    while t > 1e-12:
-        cand = theta - t * dth
-        if extended_energy(cand, knot, spec, strength) <= e0 - 0.25 * t * dth**2:
-            return cand
-        t *= 0.5
-    return theta
-
-
 def _nontrivial(state, spec, strength):
     """Reject Newton limits that are the zero state (or numerically trivial)."""
     en = energy(state, spec, strength).total
@@ -586,10 +567,13 @@ def _multistart_newton(spec, strength, config, grid, lam, seed_phi):
 def mountain_pass(spec, strength, config):
     """Path deformation + Newton refinement; returns a SolveResult.
 
-    sigma estimates (the running path maximum) are nonincreasing; the
-    maximizing knot (smallest index on ties) is pushed downhill each sweep.
-    When its gradient norm falls under newton_switch, the knot is handed to
-    Newton; on success the refined, gauge-fixed state is verified and gated.
+    Choi-McKenna deformation (Nonlinear Anal. 20, 1993): each sweep pushes the
+    maximizing knot (smallest index on ties) one capped descent step downhill,
+    then redistributes the knots evenly along the polyline.  The path maximum
+    is not monotone, since a redistributed knot can sit above the knots it
+    replaces.  When the maximizing knot's gradient norm falls under
+    newton_switch, it is handed to Newton; on success the refined, gauge-fixed
+    state is verified and gated.
     """
     dim = strength.dim
     lam = config.lam if config.lam is not None else solve_lambda(spec, strength)
@@ -602,7 +586,6 @@ def mountain_pass(spec, strength, config):
     knots, m0, _ = initial_path(spec, strength, config, grid=solve_grid, seed=seed)
     energies = [energy(k, spec, strength).total for k in knots]
     trace = []
-    theta = 0.0
     best_state = None
     best_gn = math.inf
     newton_history = None
@@ -612,34 +595,6 @@ def mountain_pass(spec, strength, config):
     collapse_count = 0
     for it in range(config.max_iters):
         iterations = it + 1
-        # The barrier can hide inside a segment: check midpoints, and when one
-        # tops every knot, promote it (replacing its lower-energy neighbor) so
-        # the discrete path max cannot tunnel between samples.
-        for _ in range(4):
-            j = int(np.argmax(energies))
-            mids = [
-                FieldState(
-                    solve_grid,
-                    lam,
-                    0.5 * (float(np.real(knots[i].charge)) + float(np.real(knots[i + 1].charge))),
-                    0.5 * (np.real(np.asarray(knots[i].phi)) + np.real(np.asarray(knots[i + 1].phi))),
-                )
-                for i in range(len(knots) - 1)
-            ]
-            emids = [energy(m, spec, strength).total for m in mids]
-            i_m = int(np.argmax(emids))
-            if emids[i_m] <= energies[j]:
-                break
-            # replace the adjacent knot with lower energy (never an endpoint)
-            left, right = i_m, i_m + 1
-            if left == 0:
-                repl = right
-            elif right == len(knots) - 1:
-                repl = left
-            else:
-                repl = left if energies[left] <= energies[right] else right
-            knots[repl] = mids[i_m]
-            energies[repl] = emids[i_m]
         j = int(np.argmax(energies))
         knot = knots[j]
         if j == 0 and energies[j] <= 1e-12:
@@ -656,8 +611,6 @@ def mountain_pass(spec, strength, config):
             knots = _reparametrize(knots, strength)
             energies = [energy(k, spec, strength).total for k in knots]
             continue
-        if config.theta_mode:
-            theta = _theta_descent(knot, theta, spec, strength, config.descent_step)
         path_len = sum(
             _state_dist(knots[i + 1], knots[i], strength) for i in range(len(knots) - 1)
         )
@@ -670,10 +623,6 @@ def mountain_pass(spec, strength, config):
             best_gn, best_state = gn, knot
         if gn <= switch:
             cand = knot
-            if config.theta_mode and theta != 0.0:
-                cand = dilate(cand, math.exp(theta))
-                cand = change_lambda(cand, lam)
-                theta = 0.0
             if not cand.grid.compatible(solve_grid):
                 cand = resample(cand, solve_grid)
             cand = FieldState(

@@ -115,6 +115,7 @@ def test_solve_shooting_failure_exits_1(tmp_path):
     )
     assert proc.returncode == 1
     assert "shooting error: no shooting bracket found" in proc.stderr
+    assert "g(a) <= 0 on all of [0.01, 100000]" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 

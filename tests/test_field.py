@@ -54,7 +54,7 @@ def test_hat_weights_integrate_constants_exactly(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_gauss_rule_integrates_gaussian(dim):
     grid = make_grid(dim, 8.0, 512, 2.0)
-    val = grid.integrate_callable(lambda r: np.exp(-(r**2)))
+    val = grid.integrate_gauss(np.exp(-(grid.gp**2)))
     exact = math.pi ** 1.5 if dim == 3 else math.pi
     assert val == pytest.approx(exact, rel=1e-12)
 

@@ -8,15 +8,11 @@ from scipy import integrate, special
 
 from deltafield.greens import (
     EULER_GAMMA,
-    NOT_IN_LP,
     GreenKernel,
     InteractionStrength,
-    green_difference,
     green_l2_norm_sq,
-    green_lp_norm,
     green_value,
     omega_alpha,
-    regular_part_at_origin,
     xi,
 )
 
@@ -30,7 +26,8 @@ L4_NORM_2D_LAM1 = 0.2551810197965695
 
 
 # ---------------------------------------------------------------------------
-# test-local oracles: independent K0 routes, the singular part and dG/dr
+# test-local oracles: independent K0 routes, the singular part, dG/dr, the
+# regular part at the origin, G differences and L^p norms
 # ---------------------------------------------------------------------------
 
 
@@ -85,6 +82,49 @@ def green_value_deriv(kernel, r):
     if kernel.dim == 3:
         return -math.exp(-s * r) * (s * r + 1.0) / (4.0 * math.pi * r**2)
     return -s * float(special.k1(s * r)) / (2.0 * math.pi)
+
+
+def regular_part_at_origin(kernel):
+    """lim_{r->0} (G_lam(r) - G_sing(r)) = -xi_lam."""
+    return -xi(kernel.dim, kernel.lam)
+
+
+def green_difference(dim, lam1, lam2, r):
+    """G_{lam1}(r) - G_{lam2}(r); bounded as r -> 0 with limit xi_{lam2} - xi_{lam1}."""
+    return green_value(GreenKernel(dim, lam1), r) - green_value(GreenKernel(dim, lam2), r)
+
+
+class _NotInLp:
+    """Typed signal: the kernel fails to belong to L^p for the requested p."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "NOT_IN_LP"
+
+
+NOT_IN_LP = _NotInLp()
+
+
+def green_lp_norm(kernel, p):
+    """||G_lam||_p, or the NOT_IN_LP signal outside the integrability range.
+
+    3D: finite iff 1 <= p < 3, closed form
+        (4 pi)^{(1-p)/p} * [Gamma(3-p) / (p sqrt(lam))^{3-p}]^{1/p}.
+    2D: finite for every p >= 1 (log singularity), computed by adaptive quadrature.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1, got %r" % (p,))
+    if kernel.dim == 3:
+        if p >= 3:
+            return NOT_IN_LP
+        s = math.sqrt(kernel.lam)
+        integral = (4.0 * math.pi) ** (1.0 - p) * special.gamma(3.0 - p) / (p * s) ** (3.0 - p)
+        return integral ** (1.0 / p)
+    # 2D: substitute t = sqrt(lam) r, integral = 2 pi lam^{-1} (2 pi)^{-p} int t K0(t)^p dt
+    val, _err = integrate.quad(lambda t: t * special.k0(t) ** p, 0.0, 60.0, limit=200)
+    integral = 2.0 * math.pi / kernel.lam * (2.0 * math.pi) ** (-p) * val
+    return integral ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from scipy import integrate
 from deltafield.greens import EULER_GAMMA, InteractionStrength
 from deltafield.nonlinearity import (
     G_eval,
-    H_eval,
     check_assumptions,
     dg_signed,
     double_power_family,
@@ -118,17 +117,6 @@ def test_G_eval_gauge_invariant():
     spec = power_family(1.0, 2.5)
     u = 1.3 * np.exp(0.4j)
     assert G_eval(spec, u) == pytest.approx(G_eval(spec, abs(u)), rel=1e-14)
-
-
-def test_H_eval_vs_adaptive_quadrature():
-    spec = power_family(1.0, 2.5)
-    strength = InteractionStrength(1.0, 3)
-    om1 = resolve_omega1(spec, strength)
-    for s in (0.5, 2.0, 5.0):
-        expected, _ = integrate.quad(
-            lambda t: float(h_eval(spec, t, omega1=om1)), 0.0, s, limit=200
-        )
-        assert H_eval(spec, s, omega1=om1) == pytest.approx(expected, rel=1e-4)
 
 
 def test_h_eval_nonnegative_and_zero_near_origin():

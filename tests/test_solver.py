@@ -343,13 +343,30 @@ def test_newton_error_reports_history():
         newton_refine(bad, SPEC3, STR3, config)
 
 
-def test_theta_mode_smoke():
-    config = SolverConfig(
-        M=256, max_iters=5, theta_mode=True, seed_profile="bump", newton_switch=1e-12
-    )
+def test_bump_seed_smoke():
+    config = SolverConfig(M=256, max_iters=5, seed_profile="bump", newton_switch=1e-12)
     result = mountain_pass(SPEC3, STR3, config)
     assert result.iterations <= 5
     assert np.isfinite(result.sigma_estimate)
+
+
+def test_reparametrized_paths_stay_on_one_grid(monkeypatch):
+    # _reparametrize and _state_dist compare nodal values, which only makes
+    # sense when every knot lives on the same grid
+    import deltafield.solver as solver
+
+    radii = []
+    reparametrize = solver._reparametrize
+
+    def recording(knots, strength):
+        radii.append({k.grid.r_max for k in knots})
+        return reparametrize(knots, strength)
+
+    monkeypatch.setattr(solver, "_reparametrize", recording)
+    mountain_pass(SPEC3, STR3, SolverConfig(M=256, max_iters=200))
+    assert radii
+    mixed = sum(len(r) > 1 for r in radii)
+    assert mixed == 0, "%d of %d reparametrized paths mix grids" % (mixed, len(radii))
 
 
 def test_collapse_branch_shoots_once(monkeypatch):
