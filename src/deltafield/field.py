@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -26,22 +26,15 @@ from .greens import (
     GreenKernel,
     green_l2_norm_sq,
     green_value,
-    omega_alpha,
     xi,
 )
 
 __all__ = [
     "RadialGrid",
     "FieldState",
-    "QuadraticFormValue",
     "make_grid",
     "default_grading",
-    "zero_state",
-    "l2_inner",
-    "h1_alpha_norm_sq",
-    "change_lambda",
     "dilate",
-    "add",
     "scale",
     "gauge_fix",
     "resample",
@@ -66,8 +59,6 @@ class RadialGrid:
 
     Attributes (read-only by convention):
       nodes     -- r_i = r_max (i/M)^gamma, i = 0..M
-      hat_w     -- weights of the piecewise-linear (hat) nodal quadrature;
-                   exact for hat interpolants, sum to the ball volume exactly
       stiff_k   -- per-cell stiffness coefficients: int_cell measure dr / h^2
       gp, gw    -- flattened Gauss points/weights (weights include the measure)
       gcell     -- cell index of each Gauss point
@@ -97,16 +88,8 @@ class RadialGrid:
         k = dim - 1
         rl, rr = self.nodes[:-1], self.nodes[1:]
         h = rr - rl
-        # moments A_m = int_cell r^m dr
+        # int_cell r^k dr
         Ak = (rr ** (k + 1) - rl ** (k + 1)) / (k + 1)
-        Ak1 = (rr ** (k + 2) - rl ** (k + 2)) / (k + 2)
-        w_left = c * (rr * Ak - Ak1) / h
-        w_right = c * (Ak1 - rl * Ak) / h
-        w = np.zeros(M + 1)
-        w[:-1] += w_left
-        w[1:] += w_right
-        self.hat_w = w
-
         self.stiff_k = c * Ak / h**2
 
         # Gauss machinery.
@@ -134,8 +117,6 @@ class RadialGrid:
         self.gw = np.concatenate([gw0, gw_reg.ravel()])
         self.gcell = np.concatenate([gc0, gc_reg])
         self.glam = np.concatenate([glam0, lam_reg.ravel()])
-
-        self.volume = c * r_max ** (k + 1) / (k + 1)
         self._green_cache = {}
 
     # -- basic quadrature helpers -------------------------------------------
@@ -238,82 +219,6 @@ class FieldState:
         return self.grid.nodal_at_gauss(self.phi) + self.charge * g["gp"]
 
 
-def zero_state(grid, lam):
-    return FieldState(grid, lam, 0.0, np.zeros(grid.M + 1))
-
-
-def _check_same(a, b):
-    if a.grid is not b.grid and not a.grid.compatible(b.grid):
-        raise ValueError("grid mismatch: operations require states on the same grid")
-    if a.lam != b.lam:
-        raise ValueError("lambda mismatch: call change_lambda first")
-
-
-def l2_inner(state_a, state_b):
-    """<u_a, u_b> in L^2: quadrature for phi parts and cross terms, closed form for ||G||^2."""
-    _check_same(state_a, state_b)
-    grid = state_a.grid
-    g = grid.green(state_a.lam)
-    qa = state_a.charge
-    qb = np.conjugate(state_b.charge)
-    val = (
-        grid.mass_inner(state_a.phi, state_b.phi)
-        + qb * np.dot(g["c_vec"], state_a.phi)
-        + qa * np.dot(g["c_vec"], np.conjugate(state_b.phi))
-        + qa * qb * g["l2_sq"]
-    )
-    return complex(val) if np.iscomplexobj(val) or isinstance(val, complex) else float(val)
-
-
-@dataclass(frozen=True)
-class QuadraticFormValue:
-    grad_phi_sq: float
-    phi_sq: float
-    u_sq: float
-    charge_term: float
-
-
-def h1_alpha_norm_sq(state, strength):
-    """Norm components: ||grad phi||^2, ||phi||^2, ||u||^2, (alpha+xi)|q|^2.
-
-    total = grad_phi_sq + lam * phi_sq + charge_term; requires lam > omega_alpha
-    so the charge term is coercive.
-    """
-    if strength.dim != state.grid.dim:
-        raise ValueError("dimension mismatch between state and interaction strength")
-    if not state.lam > omega_alpha(strength):
-        raise ValueError("charge term not coercive: need lambda > omega_alpha")
-    grid = state.grid
-    grad_sq = float(np.real(grid.stiffness_inner(state.phi, state.phi)))
-    phi_sq = float(np.real(grid.mass_inner(state.phi, state.phi)))
-    u_sq = float(np.real(l2_inner(state, state)))
-    xi_l = xi(grid.dim, state.lam)
-    charge_term = (strength.alpha + xi_l) * abs(state.charge) ** 2
-    return QuadraticFormValue(grad_sq, phi_sq, u_sq, charge_term)
-
-
-def h1_alpha_total(state, strength):
-    v = h1_alpha_norm_sq(state, strength)
-    return v.grad_phi_sq + state.lam * v.phi_sq + v.charge_term
-
-
-def change_lambda(state, lam_new):
-    """Re-split u against G_{lam_new}: charge unchanged, phi absorbs q (G_lam - G_new)."""
-    if not lam_new > 0:
-        raise ValueError("lambda must be positive")
-    if lam_new == state.lam:
-        return state
-    grid = state.grid
-    g_old = grid.green(state.lam)["nodes"]
-    g_new = grid.green(lam_new)["nodes"]
-    phi = np.array(state.phi, dtype=np.result_type(state.phi, state.charge, float))
-    phi[1:] = phi[1:] + state.charge * (g_old[1:] - g_new[1:])
-    phi[0] = phi[0] + state.charge * (
-        xi(grid.dim, lam_new) - xi(grid.dim, state.lam)
-    )
-    return FieldState(grid, lam_new, state.charge, phi)
-
-
 def dilate(state, t):
     """u(x/t): lambda -> lambda/t^2, q -> t^{N-2} q, grid r_max -> t r_max.
 
@@ -331,16 +236,6 @@ def dilate(state, t):
         state.lam / t**2,
         t ** (grid.dim - 2) * state.charge,
         np.array(state.phi),
-    )
-
-
-def add(state_a, state_b):
-    _check_same(state_a, state_b)
-    return FieldState(
-        state_a.grid,
-        state_a.lam,
-        state_a.charge + state_b.charge,
-        state_a.phi + state_b.phi,
     )
 
 

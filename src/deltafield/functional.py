@@ -13,9 +13,9 @@ For the action I(u) with u = phi + q G_lam:
     I = 1/2 ||grad phi||^2 + (lam/2)(||phi||^2 - ||u||^2)
         + 1/2 (alpha + xi_lam) |q|^2 - int G(u)
 
-and the extended functional J(theta, u) = I(u(e^{-theta} .)) has the closed
-form obtained by scaling each block, with xi evaluated at e^{-2 theta} lam.
-The theta-derivative at 0 is exactly the Pohozaev expression.
+The coercive norm ||grad phi||^2 + lam ||phi||^2 + (alpha + xi_lam)|q|^2 of
+the energy space (lam > omega_alpha) is assembled once per (grid, lam) by
+_operator; coercive_norm_sq, riesz_representative and hessian_blocks read it.
 """
 
 from __future__ import annotations
@@ -40,14 +40,11 @@ __all__ = [
     "riesz_representative",
     "hessian_blocks",
     "arrow_solve",
-    "extended_energy",
-    "extended_energy_dtheta",
+    "coercive_norm_sq",
     "pohozaev_residual",
     "pohozaev_residual_alt",
     "boundary_residual",
     "blowup_diagnostic",
-    "gradient_system",
-    "radial_laplacian",
     "verify",
 ]
 
@@ -160,15 +157,6 @@ def _stiffness_apply(grid, v):
     return out
 
 
-def _stiffness_banded(grid):
-    M = grid.M
-    diag = np.zeros(M + 1)
-    diag[:-1] += grid.stiff_k
-    diag[1:] += grid.stiff_k
-    off = -grid.stiff_k
-    return diag, off
-
-
 def _tridiag_from_gauss(grid, coeff_at_gauss):
     """Tridiagonal (diag, off) of sum_g coeff_g hat_i hat_j at the Gauss points."""
     gl, cell, n = grid.glam, grid.gcell, grid.M + 1
@@ -179,18 +167,40 @@ def _tridiag_from_gauss(grid, coeff_at_gauss):
 
 
 def _operator(grid, lam):
-    """grid.green(lam), with "mass" (the mass bands) and "riesz_chol" (upper banded
-    Cholesky factor of B = S + lam*M, the coercive norm's profile block) added once."""
+    """grid.green(lam), with the discrete operator of the coercive norm added once:
+    "stiff" and "mass" (the stiffness and mass bands) and "riesz_chol" (upper
+    banded Cholesky factor of B = S + lam*M, the norm's profile block)."""
     g = grid.green(lam)
     if "riesz_chol" not in g:
         md, mo = _tridiag_from_gauss(grid, 1.0)
-        sd, so = _stiffness_banded(grid)
+        sd = np.zeros(grid.M + 1)
+        sd[:-1] += grid.stiff_k
+        sd[1:] += grid.stiff_k
+        so = -grid.stiff_k
         ab = np.zeros((2, grid.M + 1))
         ab[0, 1:] = so + lam * mo
         ab[1, :] = sd + lam * md
+        g["stiff"] = (sd, so)
         g["mass"] = (md, mo)
         g["riesz_chol"] = cholesky_banded(ab)
     return g
+
+
+def _require_coercive(lam, strength):
+    if not lam > omega_alpha(strength):
+        raise ValueError("coercive norm needs lambda > omega_alpha")
+
+
+def coercive_norm_sq(grid, lam, strength, dphi, dq):
+    """||grad phi||^2 + lam ||phi||^2 + (alpha + xi_lam) q^2 for real nodal dphi
+    and charge dq, with the mass term read from the cached bands."""
+    _require_coercive(lam, strength)
+    g = _operator(grid, lam)
+    md, mo = g["mass"]
+    # one diff, where grid.stiffness_inner takes two and copies for the conjugate
+    grad = float(np.dot(grid.stiff_k, np.diff(dphi) ** 2))
+    mass = float(np.dot(md, dphi * dphi) + 2.0 * np.dot(mo, dphi[:-1] * dphi[1:]))
+    return grad + lam * mass + (strength.alpha + g["xi"]) * dq * dq
 
 
 def riesz_representative(state, strength, grad_phi, grad_q):
@@ -200,8 +210,7 @@ def riesz_representative(state, strength, grad_phi, grad_q):
     (alpha + xi_lam) on the charge; needs lam > omega_alpha.
     """
     grid = state.grid
-    if not state.lam > omega_alpha(strength):
-        raise ValueError("dual norm needs lambda > omega_alpha")
+    _require_coercive(state.lam, strength)
     z_phi = cho_solve_banded((_operator(grid, state.lam)["riesz_chol"], False), grad_phi)
     xi_l = xi(grid.dim, state.lam)
     z_q = grad_q / (strength.alpha + xi_l)
@@ -224,11 +233,11 @@ def hessian_blocks(state, spec, strength):
     """
     _require_real(state)
     grid = state.grid
-    g = grid.green(state.lam)
+    g = _operator(grid, state.lam)
     q = float(np.real(state.charge))
     u_gp = grid.nodal_at_gauss(state.phi) + q * g["gp"]
     dg = dg_signed(spec, u_gp)
-    sd, so = _stiffness_banded(grid)
+    sd, so = g["stiff"]
     nd, no = _tridiag_from_gauss(grid, dg)
     diag = sd - nd
     off = so - no
@@ -263,41 +272,8 @@ def arrow_solve(diag, off, b, d, rhs_phi, rhs_q):
 
 
 # ---------------------------------------------------------------------------
-# Extended functional and residual identities.
+# Residual identities.
 # ---------------------------------------------------------------------------
-
-
-def extended_energy(theta, state, spec, strength):
-    """J(theta, u) = I(u(e^{-theta} .)) via the closed-form block scaling."""
-    grad_sq, l2_diff = _norms(state)
-    pot = _potential(state, spec)
-    n2 = state.grid.dim - 2
-    q2 = abs(state.charge) ** 2
-    xi_th = xi(state.grid.dim, math.exp(-2.0 * theta) * state.lam)
-    return (
-        0.5 * math.exp(n2 * theta) * grad_sq
-        + 0.5 * math.exp(n2 * theta) * state.lam * l2_diff
-        + 0.5 * math.exp(2 * n2 * theta) * (strength.alpha + xi_th) * q2
-        - math.exp(state.grid.dim * theta) * pot
-    )
-
-
-def extended_energy_dtheta(theta, state, spec, strength):
-    """d/dtheta of J, using d xi(e^{-2 theta} lam)/dtheta = -2 e^{-(N-2)theta} lam ||G_lam||^2."""
-    grid = state.grid
-    grad_sq, l2_diff = _norms(state)
-    pot = _potential(state, spec)
-    n2 = grid.dim - 2
-    q2 = abs(state.charge) ** 2
-    xi_th = xi(grid.dim, math.exp(-2.0 * theta) * state.lam)
-    g_l2 = grid.green(state.lam)["l2_sq"]
-    dxi = -2.0 * math.exp(-n2 * theta) * state.lam * g_l2
-    return (
-        0.5 * n2 * math.exp(n2 * theta) * grad_sq
-        + 0.5 * n2 * math.exp(n2 * theta) * state.lam * l2_diff
-        + (n2 * (strength.alpha + xi_th) + 0.5 * dxi) * math.exp(2 * n2 * theta) * q2
-        - grid.dim * math.exp(grid.dim * theta) * pot
-    )
 
 
 def pohozaev_residual(state, spec, strength):
@@ -371,54 +347,6 @@ def blowup_diagnostic(state, n_points=16):
         return None
     slope = np.polyfit(np.log(mid[keep]), np.log(mag[keep]), 1)[0]
     return float(slope)
-
-
-def radial_laplacian(grid, phi, charge=0.0, lam=None):
-    """Second-order finite-difference radial Laplacian of the regular part.
-
-    Returns values at nodes 0..M-1 (the outer boundary node is excluded).  At
-    r=0 the profile is treated as an even function (ghost-node reflection), so
-    Delta phi(0) = N * phi''(0) ~ 2N (phi_1 - phi_0)/r_1^2; with charge != 0
-    the node-0 value of the strong residual is not defined and callers should
-    ignore it.
-    """
-    r = grid.nodes
-    phi = np.asarray(phi, dtype=float)
-    out = np.empty(grid.M)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    denom = hm * hp * (hm + hp)
-    d2 = 2.0 * (hm * phi[2:] - (hm + hp) * phi[1:-1] + hp * phi[:-2]) / denom
-    d1 = (hm**2 * phi[2:] - hp**2 * phi[:-2] + (hp**2 - hm**2) * phi[1:-1]) / denom
-    out[1:] = d2 + (grid.dim - 1) / r[1:-1] * d1
-    out[0] = 2.0 * grid.dim * (phi[1] - phi[0]) / r[1] ** 2
-    return out
-
-
-def gradient_system(state, spec, strength):
-    """Strong-form nodewise residual plus the scalar charge residual.
-
-    Profile residual: -phi'' - (N-1)/r phi' - lam q G - g(u) at interior
-    nodes (nan at r=0 when q != 0, where the forcing is singular; the weak
-    system used by Newton has no such defect).  Charge residual: the q-
-    component of the weak gradient.
-    """
-    _require_real(state)
-    grid = state.grid
-    q = float(np.real(state.charge))
-    lap = radial_laplacian(grid, state.phi)
-    res = np.full(grid.M + 1, np.nan)
-    g_nodes = grid.green(state.lam)["nodes"]
-    u_inner = state.phi[1:-1] + q * g_nodes[1:-1]
-    res[1:-1] = (
-        -lap[1:]
-        - state.lam * q * g_nodes[1:-1]
-        - g_signed(spec, u_inner)
-    )
-    if q == 0.0:
-        res[0] = -lap[0] - g_signed(spec, state.phi[0])
-    _, charge_res = gradient_vector(state, spec, strength)
-    return res, charge_res
 
 
 @dataclass(frozen=True)

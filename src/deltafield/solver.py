@@ -31,8 +31,8 @@ from .field import (
     scale,
 )
 from .functional import (
-    _operator,
     arrow_solve,
+    coercive_norm_sq,
     energy,
     gradient_norm,
     gradient_vector,
@@ -56,24 +56,27 @@ __all__ = [
 ]
 
 
+# Path construction and descent: the initial dilation factor of the seed and
+# its cap, the mid-path charge bump, and the first trial step of a descent move.
+_DILATION_T = 4.0
+_DILATION_T_CAP = 64.0
+_Q_AMPLITUDE = 0.1
+_DESCENT_STEP = 0.5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     path_knots: int = 17
-    descent_step: float = 0.5
     max_iters: int = 400
     grad_tol: float = 1e-8
     newton_tol: float = 1e-10
-    dilation_T: float = 4.0
     seed_profile: str = "scalar_ground_state"  # bump | scalar_ground_state | file
-    q_amplitude: float = 0.1
     newton_switch: float = 5e-2
     M: int = 512
     r_max: float | None = None
     grading_exponent: float | None = None
     lam: float | None = None
     seed_file: str | None = None
-    freeze_charge: bool = False
-    dilation_T_cap: float = 64.0
     newton_max_iter: int = 60
 
     def __post_init__(self):
@@ -331,24 +334,37 @@ def _seed_state(spec, dim, config, grid, lam):
     return FieldState(grid, lam, 0.0, phi), None
 
 
-def initial_path(spec, strength, config, grid=None, seed=None):
+def _solve_grid(spec, strength, config):
+    """(grid, lam): the grid and the working lambda of a solve."""
+    lam = config.lam if config.lam is not None else solve_lambda(spec, strength)
+    r_seed = config.r_max if config.r_max is not None else 20.0 / math.sqrt(min(lam, spec.omega))
+    grid = make_grid(
+        strength.dim, r_seed, config.M, config.grading_exponent, p_growth=spec.p_growth
+    )
+    return grid, lam
+
+
+def _on_grid(state, grid, lam):
+    """state as a real-gauge FieldState on grid at lam, resampled if it lives
+    on another grid."""
+    if not state.grid.compatible(grid):
+        state = resample(state, grid)
+    return FieldState(grid, lam, float(np.real(state.charge)), np.real(np.asarray(state.phi)))
+
+
+def initial_path(spec, strength, config, seed=None):
     """Discretized mountain-pass path: knots k/K * z with z a dilated
     negative-energy state, plus a small mid-path charge bump.
 
     Returns (knots, m0, lam).  The knots share one grid (the seed grid scaled
-    by the dilation factor) and one lambda.  seed is the (state, m0) pair of
-    _seed_state on grid when the caller already has it.
+    by the dilation factor) and the seed's lambda.  seed is the (state, m0)
+    pair of _seed_state on the solve grid when the caller already has it.
     """
-    dim = strength.dim
-    lam = config.lam if config.lam is not None else solve_lambda(spec, strength)
-    T = config.dilation_T
-    if grid is None:
-        r_seed = config.r_max if config.r_max is not None else 20.0 / math.sqrt(min(lam, spec.omega))
-        grading = config.grading_exponent
-        grid = make_grid(dim, r_seed, config.M, grading, p_growth=spec.p_growth)
     if seed is None:
-        seed = _seed_state(spec, dim, config, grid, lam * config.dilation_T**2)
+        seed = _seed_state(spec, strength.dim, config, *_solve_grid(spec, strength, config))
     seed, m0 = seed
+    lam = seed.lam
+    T = _DILATION_T
     # Dilation alone can fail to reach negative energy (in 2D the kinetic term
     # is scale-invariant and the scalar ground state has zero potential mass),
     # so amplify the profile when the dilation factor hits its cap.
@@ -361,13 +377,13 @@ def initial_path(spec, strength, config, grid=None, seed=None):
         if en < 0:
             break
         T *= 1.5
-        if T > config.dilation_T_cap:
-            T = config.dilation_T
+        if T > _DILATION_T_CAP:
+            T = _DILATION_T
             amp *= 1.5
     else:
         raise RuntimeError(
             "mountain pass endpoint not found: I(dilated seed) >= 0 up to "
-            "T=%g, amplitude factor %g" % (config.dilation_T_cap, amp)
+            "T=%g, amplitude factor %g" % (_DILATION_T_CAP, amp)
         )
     # Trim the endpoint to just past the zero-energy crossing: a deeply
     # negative endpoint makes the polyline so long that the barrier region is
@@ -395,11 +411,8 @@ def initial_path(spec, strength, config, grid=None, seed=None):
     knots = []
     for k in range(config.path_knots):
         st = scale(z, k / K)
-        if not config.freeze_charge and config.q_amplitude:
-            qk = config.q_amplitude * math.sin(math.pi * k / K)
-            st = FieldState(st.grid, st.lam, float(np.real(st.charge)) + qk, np.real(np.asarray(st.phi)))
-        else:
-            st = FieldState(st.grid, st.lam, float(np.real(st.charge)), np.real(np.asarray(st.phi)))
+        qk = _Q_AMPLITUDE * math.sin(math.pi * k / K)
+        st = FieldState(st.grid, st.lam, float(np.real(st.charge)) + qk, np.real(np.asarray(st.phi)))
         knots.append(st)
     return knots, m0, lam
 
@@ -412,28 +425,14 @@ def newton_refine(state, spec, strength, config):
     """
     st = state
     history = []
-    freeze = config.freeze_charge
-
-    def _residual(s):
-        if not freeze:
-            return gradient_norm(s, spec, strength)
-        # frozen charge: measure only the profile block of the gradient
-        gp, _ = gradient_vector(s, spec, strength)
-        zp, _ = riesz_representative(s, strength, gp, 0.0)
-        return math.sqrt(max(float(np.dot(gp, zp)), 0.0))
-
-    res = _residual(st)
+    res = gradient_norm(st, spec, strength)
     history.append(res)
     for _it in range(config.newton_max_iter):
         if res <= config.newton_tol:
             return st, history
         diag, off, b, d = hessian_blocks(st, spec, strength)
         gp, gq = gradient_vector(st, spec, strength)
-        if freeze:
-            dphi, _ = arrow_solve(diag, off, np.zeros_like(b), 1.0, -gp, 0.0)
-            dq = 0.0
-        else:
-            dphi, dq = arrow_solve(diag, off, b, d, -gp, -gq)
+        dphi, dq = arrow_solve(diag, off, b, d, -gp, -gq)
         t = 1.0
         accepted = False
         while t > 1e-8:
@@ -443,7 +442,7 @@ def newton_refine(state, spec, strength, config):
                 float(np.real(st.charge)) + t * dq,
                 np.real(np.asarray(st.phi)) + t * dphi,
             )
-            cand_res = _residual(cand)
+            cand_res = gradient_norm(cand, spec, strength)
             if cand_res < res or cand_res <= config.newton_tol:
                 st, res = cand, cand_res
                 history.append(res)
@@ -457,21 +456,17 @@ def newton_refine(state, spec, strength, config):
     raise NewtonError("Newton did not reach tolerance: %.3e" % res, history)
 
 
-def _descent_step(knot, spec, strength, step0, freeze_charge, max_dist=None):
+def _descent_step(knot, spec, strength, max_dist=None):
     """One Armijo-backtracked steepest-descent step in the dual metric.
 
     max_dist caps the displacement (coercive norm) so the maximizing knot
     cannot tunnel through the mountain-pass barrier in a single move.
     """
     gp, gq = gradient_vector(knot, spec, strength)
-    if freeze_charge:
-        gq = 0.0
     zp, zq = riesz_representative(knot, strength, gp, gq)
-    if freeze_charge:
-        zq = 0.0
     gsq = float(np.dot(gp, zp) + gq * zq)
     e0 = energy(knot, spec, strength).total
-    t = step0
+    t = _DESCENT_STEP
     if max_dist is not None and gsq > 0:
         # the Riesz step of size t moves the state by t * sqrt(gsq)
         t = min(t, max_dist / math.sqrt(gsq))
@@ -491,14 +486,9 @@ def _descent_step(knot, spec, strength, step0, freeze_charge, max_dist=None):
 
 def _state_dist(a, b, strength):
     """Distance in the coercive norm between two states on one grid/lambda."""
-    grid = a.grid
     dphi = np.real(np.asarray(a.phi)) - np.real(np.asarray(b.phi))
     dq = float(np.real(a.charge)) - float(np.real(b.charge))
-    grad = float(np.dot(grid.stiff_k, np.diff(dphi) ** 2))
-    md, mo = _operator(grid, a.lam)["mass"]
-    mass = float(np.dot(md, dphi * dphi) + 2.0 * np.dot(mo, dphi[:-1] * dphi[1:]))
-    xi_l = xi(grid.dim, a.lam)
-    return math.sqrt(max(grad + a.lam * mass + (strength.alpha + xi_l) * dq * dq, 0.0))
+    return math.sqrt(max(coercive_norm_sq(a.grid, a.lam, strength, dphi, dq), 0.0))
 
 
 def _reparametrize(knots, strength):
@@ -576,14 +566,10 @@ def mountain_pass(spec, strength, config):
     state is verified and gated.
     """
     dim = strength.dim
-    lam = config.lam if config.lam is not None else solve_lambda(spec, strength)
-    r_seed = config.r_max if config.r_max is not None else 20.0 / math.sqrt(min(lam, spec.omega))
-    solve_grid = make_grid(
-        dim, r_seed, config.M, config.grading_exponent, p_growth=spec.p_growth
-    )
-    # The seed profile does not depend on lambda: the collapse branch reuses it.
-    seed = _seed_state(spec, dim, config, solve_grid, lam * config.dilation_T**2)
-    knots, m0, _ = initial_path(spec, strength, config, grid=solve_grid, seed=seed)
+    solve_grid, lam = _solve_grid(spec, strength, config)
+    # The collapse branch reuses the seed profile.
+    seed = _seed_state(spec, dim, config, solve_grid, lam)
+    knots, m0, _ = initial_path(spec, strength, config, seed=seed)
     energies = [energy(k, spec, strength).total for k in knots]
     trace = []
     best_state = None
@@ -615,21 +601,15 @@ def mountain_pass(spec, strength, config):
             _state_dist(knots[i + 1], knots[i], strength) for i in range(len(knots) - 1)
         )
         cap = 0.5 * path_len / (len(knots) - 1) if path_len > 0 else None
-        new_knot, gn, e1 = _descent_step(
-            knot, spec, strength, config.descent_step, config.freeze_charge, max_dist=cap
-        )
+        new_knot, gn, e1 = _descent_step(knot, spec, strength, max_dist=cap)
         trace.append((it, energies[j], gn, float(np.real(knot.charge))))
         if gn < best_gn:
             best_gn, best_state = gn, knot
         if gn <= switch:
-            cand = knot
-            if not cand.grid.compatible(solve_grid):
-                cand = resample(cand, solve_grid)
-            cand = FieldState(
-                solve_grid, lam, float(np.real(cand.charge)), np.real(np.asarray(cand.phi))
-            )
             try:
-                candidate, newton_history = newton_refine(cand, spec, strength, config)
+                candidate, newton_history = newton_refine(
+                    _on_grid(knot, solve_grid, lam), spec, strength, config
+                )
                 if _nontrivial(candidate, spec, strength):
                     refined = candidate
                     break
@@ -641,12 +621,7 @@ def mountain_pass(spec, strength, config):
         knots = _reparametrize(knots, strength)
         energies = [energy(k, spec, strength).total for k in knots]
     if refined is None and best_state is not None:
-        cand = best_state
-        if not cand.grid.compatible(solve_grid):
-            cand = resample(cand, solve_grid)
-        cand = FieldState(
-            solve_grid, lam, float(np.real(cand.charge)), np.real(np.asarray(cand.phi))
-        )
+        cand = _on_grid(best_state, solve_grid, lam)
         try:
             refined, newton_history = newton_refine(cand, spec, strength, config)
         except NewtonError:

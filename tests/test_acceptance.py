@@ -10,21 +10,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from deltafield.field import (
-    FieldState,
-    add,
-    change_lambda,
-    dilate,
-    make_grid,
-    scale,
-    zero_state,
-)
+from deltafield.field import FieldState, dilate, make_grid, scale
 from deltafield.functional import (
     derivative,
     energy,
-    extended_energy,
-    extended_energy_dtheta,
-    gradient_system,
     pohozaev_residual,
     pohozaev_residual_alt,
 )
@@ -38,6 +27,13 @@ from deltafield.greens import (
 )
 from deltafield.nonlinearity import check_assumptions, g_signed, power_family
 from deltafield.solver import SolverConfig, mountain_pass, scalar_ground_state
+from oracles import (
+    add,
+    change_lambda,
+    extended_energy,
+    extended_energy_dtheta,
+    gradient_system,
+)
 
 SPEC3 = power_family(1.0, 2.5)
 SPEC2 = power_family(1.0, 4.0)

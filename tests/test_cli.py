@@ -11,8 +11,9 @@ import pytest
 
 import deltafield
 from deltafield.cli import ConfigError, main, parse_config
-from deltafield.field import make_grid, save_profile, zero_state
+from deltafield.field import make_grid, save_profile
 from deltafield.greens import EULER_GAMMA
+from oracles import zero_state
 
 
 def _config(dim=3, alpha=1.0, omega=1.0, p=2.5, solver=None):

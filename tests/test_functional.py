@@ -7,33 +7,38 @@ import pytest
 
 from deltafield.field import (
     FieldState,
-    add,
     dilate,
     gauge_fix,
     make_grid,
     scale,
-    zero_state,
 )
 from deltafield.functional import (
     arrow_solve,
     blowup_diagnostic,
     boundary_residual,
+    coercive_norm_sq,
     derivative,
     energy,
-    extended_energy,
-    extended_energy_dtheta,
     gradient_norm,
-    gradient_system,
     gradient_vector,
     hessian_blocks,
     pohozaev_residual,
     pohozaev_residual_alt,
-    radial_laplacian,
     riesz_representative,
     verify,
 )
 from deltafield.greens import InteractionStrength, xi
 from deltafield.nonlinearity import power_family
+from oracles import (
+    add,
+    extended_energy,
+    extended_energy_dtheta,
+    gradient_system,
+    h1_alpha_total,
+    l2_inner,
+    radial_laplacian,
+    zero_state,
+)
 
 SPEC3 = power_family(1.0, 2.5)
 SPEC2 = power_family(2.0, 4.0)
@@ -151,17 +156,26 @@ def test_riesz_requires_coercive_lambda():
 
 def test_gradient_norm_is_dual_norm():
     # |<I'(u), v>| <= gradient_norm(u) * coercive_norm(v), tight for v = z
-    from deltafield.field import h1_alpha_total
-
     grid, spec, strength = _setup(3)
     st = _random_state(grid, 1.0, 5)
     gp, gq = gradient_vector(st, spec, strength)
     zp, zq = riesz_representative(st, strength, gp, gq)
     gn = gradient_norm(st, spec, strength)
-    z = FieldState(grid, st.lam, zq, zp)
     pairing = float(np.dot(gp, zp)) + gq * zq
     assert pairing == pytest.approx(gn**2, rel=1e-12)
-    assert h1_alpha_total(z, strength) == pytest.approx(gn**2, rel=1e-10)
+    assert coercive_norm_sq(grid, st.lam, strength, zp, zq) == pytest.approx(gn**2, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coercive_norm_matches_gauss_oracle(dim):
+    # the cached mass bands against the Gauss mass_inner of h1_alpha_total
+    grid, _, strength = _setup(dim)
+    lam = 1.0 if dim == 3 else 3.0
+    for seed in range(5):
+        st = _random_state(grid, lam, 70 + seed)
+        want = h1_alpha_total(st, strength)
+        got = coercive_norm_sq(grid, lam, strength, st.phi, st.charge)
+        assert abs(got - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +416,6 @@ def _l2_states(grid, lam):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cancelled_l2_block_matches_direct_form(dim):
-    from deltafield.field import l2_inner
-
     grid, spec, strength = _setup(dim)
     lam = 1.0 if dim == 3 else 3.0
     n2 = dim - 2

@@ -250,12 +250,6 @@ def test_initial_path_2d_reaches_negative_energy():
     assert energy(knots[-1], SPEC2, STR2).total < 0
 
 
-def test_initial_path_freeze_charge_has_no_bump():
-    config = SolverConfig(M=256, freeze_charge=True)
-    knots, _, _ = initial_path(SPEC3, STR3, config)
-    assert all(float(np.real(k.charge)) == 0.0 for k in knots)
-
-
 def test_initial_path_file_seed(tmp_path):
     grid = make_grid(3, 20.0, 256, 2.0)
     st = FieldState(grid, 1.0, 0.0, 2.0 * np.exp(-grid.nodes**2))
@@ -324,14 +318,6 @@ def test_newton_refine_quadratic_basin(solve3):
     assert len(history) <= 9  # initial residual + at most 8 corrections
     assert gradient_norm(refined, SPEC3, STR3) <= 1e-10
     assert abs(refined.charge) == pytest.approx(abs(st.charge), rel=1e-4)
-
-
-def test_newton_refine_frozen_charge_keeps_q(ground3):
-    state, _ = ground3
-    config = SolverConfig(M=1024, freeze_charge=True, newton_tol=1e-9)
-    refined, _ = newton_refine(state, SPEC3, STR3, config)
-    assert refined.charge == 0.0
-    assert np.max(np.abs(refined.phi)) > 1.0  # stays on the scalar profile
 
 
 def test_newton_error_reports_history():
