@@ -124,6 +124,7 @@ def _cmd_solve(args):
                 "sigma_estimate": result.sigma_estimate,
                 "m0_estimate": result.m0_estimate,
                 "p_regime": result.p_regime,
+                "morse_index": result.morse_index,
                 "report": result.report.to_json_dict(),
             },
             fh,
@@ -146,11 +147,12 @@ def _cmd_solve(args):
         )
     r = result.report
     print(
-        "%s  sigma=%.8g  q=%.8g  grad=%.3g  pohozaev=%.3g  boundary=%.3g"
+        "%s  sigma=%.8g  q=%.8g  index=%d  grad=%.3g  pohozaev=%.3g  boundary=%.3g"
         % (
             "converged" if result.converged else "NOT converged",
             result.sigma_estimate,
             abs(result.state.charge),
+            result.morse_index,
             r.gradient_norm,
             abs(r.pohozaev_residual),
             abs(r.boundary_residual),

@@ -40,6 +40,7 @@ __all__ = [
     "riesz_representative",
     "hessian_blocks",
     "arrow_solve",
+    "morse_index",
     "coercive_norm_sq",
     "pohozaev_residual",
     "pohozaev_residual_alt",
@@ -251,6 +252,15 @@ def hessian_blocks(state, spec, strength):
     return diag, off, b, d
 
 
+def _tridiag_solve(diag, off, rhs):
+    """T^-1 rhs for the symmetric tridiagonal T = (diag, off), by banded LU."""
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = off
+    ab[1, :] = diag
+    ab[2, :-1] = off
+    return solve_banded((1, 1), ab, rhs)
+
+
 def arrow_solve(diag, off, b, d, rhs_phi, rhs_q):
     """Solve the symmetric arrow system [[T, b], [b^T, d]] x = rhs.
 
@@ -258,17 +268,30 @@ def arrow_solve(diag, off, b, d, rhs_phi, rhs_q):
     solve on the two right-hand sides, so the cost stays linear in the grid
     size.
     """
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    x1, x2 = solve_banded((1, 1), ab, np.column_stack([rhs_phi, b])).T
+    x1, x2 = _tridiag_solve(diag, off, np.column_stack([rhs_phi, b])).T
     denom = d - float(np.dot(b, x2))
     if denom == 0.0:
         raise np.linalg.LinAlgError("arrow system is singular")
     q = (rhs_q - float(np.dot(b, x1))) / denom
     return x1 - q * x2, q
+
+
+def morse_index(diag, off, b, d):
+    """Number of negative eigenvalues of the arrow system [[T, b], [b^T, d]].
+
+    Sylvester's law of inertia: the negative LDL^T pivots of the tridiagonal
+    T (recurrence on Python floats; an exact zero pivot is nudged negative),
+    plus one if the Schur complement d - b^T T^-1 b is negative.
+    """
+    neg = 0
+    piv = 1.0
+    for a, c in zip(diag.tolist(), [0.0] + off.tolist()):
+        piv = a - c * c / piv
+        if piv == 0.0:
+            piv = -math.ulp(0.0)
+        neg += piv < 0.0
+    schur = d - float(np.dot(b, _tridiag_solve(diag, off, b)))
+    return neg + int(schur < 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .functional import (
     gradient_norm,
     gradient_vector,
     hessian_blocks,
+    morse_index,
     riesz_representative,
     verify,
 )
@@ -98,6 +99,7 @@ class SolveResult:
     converged: bool
     trace: tuple = ()
     p_regime: str | None = None
+    morse_index: int | None = None
 
 
 class ShootingError(RuntimeError):
@@ -527,13 +529,21 @@ def _nontrivial(state, spec, strength):
     return size > 1e-8 and abs(en) > 1e-12
 
 
-def _multistart_newton(spec, strength, config, grid, lam, seed_phi):
+def _morse(state, spec, strength):
+    """Morse index of the discrete action at a real-gauge state."""
+    return morse_index(*hessian_blocks(state, spec, strength))
+
+
+def _multistart_newton(spec, strength, config, grid, lam, seed_phi, target_index):
     """Structured Newton restarts for degenerate path geometry.
 
     When the zero state is not a local minimum (omega <= omega_alpha) the
     deformation path slides below zero energy and never isolates a saddle, so
-    we probe a charge/amplitude ladder around the scalar profile instead.
-    Returns the nontrivial critical point of smallest positive energy
+    we probe a charge/amplitude ladder around the scalar profile instead, in
+    a fixed order.  Returns the first nontrivial Newton limit with positive
+    energy and Morse index target_index (one above the zero state's, the
+    index of a nondegenerate linking point over that level).  If no start
+    certifies, returns the nontrivial limit of smallest positive energy
     (falling back to the one closest to zero), or None.
     """
     best_key = None
@@ -548,6 +558,8 @@ def _multistart_newton(spec, strength, config, grid, lam, seed_phi):
             if not _nontrivial(cand, spec, strength):
                 continue
             en = energy(cand, spec, strength).total
+            if en > 0 and _morse(cand, spec, strength) == target_index:
+                return cand
             key = (en <= 0, abs(en))
             if best_key is None or key < best_key:
                 best_key, best = key, cand
@@ -564,9 +576,17 @@ def mountain_pass(spec, strength, config):
     replaces.  When the maximizing knot's gradient norm falls under
     newton_switch, it is handed to Newton; on success the refined, gauge-fixed
     state is verified and gated.
+
+    The gates are the gradient norm, the Pohozaev and boundary residuals,
+    the agreement of the two 3D Pohozaev forms, and the Morse index: it must
+    be one above the zero state's on the solve grid (Hofer, Proc. AMS 90,
+    1984; Lazer-Solimini, Nonlinear Anal. 12, 1988), so a critical point of
+    higher index that passes the residual gates is not reported converged.
     """
     dim = strength.dim
     solve_grid, lam = _solve_grid(spec, strength, config)
+    zero = FieldState(solve_grid, lam, 0.0, np.zeros(solve_grid.M + 1))
+    target_index = _morse(zero, spec, strength) + 1
     # The collapse branch reuses the seed profile.
     seed = _seed_state(spec, dim, config, solve_grid, lam)
     knots, m0, _ = initial_path(spec, strength, config, seed=seed)
@@ -589,7 +609,9 @@ def mountain_pass(spec, strength, config):
             # switch to structured Newton restarts around the scalar profile
             collapse_count += 1
             if collapse_count >= 3:
-                cand = _multistart_newton(spec, strength, config, solve_grid, lam, seed[0].phi)
+                cand = _multistart_newton(
+                    spec, strength, config, solve_grid, lam, seed[0].phi, target_index
+                )
                 if cand is not None:
                     refined = cand
                 break
@@ -645,7 +667,11 @@ def mountain_pass(spec, strength, config):
         gate_alt = (
             abs(report.pohozaev_residual - report.pohozaev_residual_alt) <= 1e-12
         )
-    converged = bool(refined is not None and gate_grad and gate_poho and gate_bdry and gate_alt)
+    index = _morse(final, spec, strength)
+    gate_index = index == target_index
+    converged = bool(
+        refined is not None and gate_grad and gate_poho and gate_bdry and gate_alt and gate_index
+    )
     p_regime = None
     if dim == 3:
         p_regime = "2<p<5/2 (classical)" if spec.p_growth < 2.5 else "5/2<=p<3 (weak-solution regime)"
@@ -658,4 +684,5 @@ def mountain_pass(spec, strength, config):
         converged=converged,
         trace=tuple(trace),
         p_regime=p_regime,
+        morse_index=index,
     )

@@ -167,6 +167,7 @@ def test_solve_report_contents(solved):
         "sigma_estimate",
         "m0_estimate",
         "p_regime",
+        "morse_index",
         "report",
     }
     assert report["converged"] == (code == 0)
@@ -260,6 +261,17 @@ def test_solve_non_converged_still_writes_best_state(tmp_path):
     assert (tmp_path / "profile.csv").exists()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is False
+
+
+def test_solve_console_line_reports_index(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        _config(solver={"M": 128, "max_iters": 1, "newton_switch": 1e-14}),
+    )
+    main(["solve", "--config", cfg, "--out", str(tmp_path)])
+    index = json.loads((tmp_path / "report.json").read_text())["morse_index"]
+    assert isinstance(index, int) and index >= 0
+    assert "  index=%d  " % index in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

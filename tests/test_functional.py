@@ -22,6 +22,7 @@ from deltafield.functional import (
     gradient_norm,
     gradient_vector,
     hessian_blocks,
+    morse_index,
     pohozaev_residual,
     pohozaev_residual_alt,
     riesz_representative,
@@ -29,6 +30,7 @@ from deltafield.functional import (
 )
 from deltafield.greens import InteractionStrength, xi
 from deltafield.nonlinearity import power_family
+from deltafield.solver import solve_lambda
 from oracles import (
     add,
     extended_energy,
@@ -225,6 +227,85 @@ def test_arrow_solve_matches_dense():
     x_phi, x_q = arrow_solve(diag, off, b, d, rhs_phi, rhs_q)
     assert np.allclose(x_phi, expected[:n], rtol=1e-10)
     assert x_q == pytest.approx(expected[n], rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Morse index: inertia of the arrow Hessian
+# ---------------------------------------------------------------------------
+
+
+def _dense_arrow(diag, off, b, d):
+    n = len(diag)
+    full = np.zeros((n + 1, n + 1))
+    full[:n, :n] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    full[:n, n] = full[n, :n] = b
+    full[n, n] = d
+    return full
+
+
+def _dense_index(diag, off, b, d):
+    return int(np.sum(np.linalg.eigvalsh(_dense_arrow(diag, off, b, d)) < 0))
+
+
+@pytest.mark.parametrize("kind", ["definite", "indefinite", "negative_schur"])
+@pytest.mark.parametrize("seed", range(5))
+def test_morse_index_matches_dense_eigenvalues(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    b = rng.standard_normal(n)
+    if kind == "indefinite":
+        diag = 2.0 * rng.standard_normal(n)
+        off = rng.standard_normal(n - 1)
+        d = float(rng.standard_normal())
+    else:
+        diag = 4.0 + rng.random(n)
+        off = -1.0 + 0.1 * rng.random(n - 1)
+        t_inv_b = np.linalg.solve(_dense_arrow(diag, off, b, 0.0)[:n, :n], b)
+        # Schur complement d - b^T T^-1 b = +1 or -1
+        d = float(b @ t_inv_b) + (1.0 if kind == "definite" else -1.0)
+    want = _dense_index(diag, off, b, d)
+    assert morse_index(diag, off, b, d) == want
+    if kind == "definite":
+        assert want == 0
+    elif kind == "negative_schur":
+        assert want == 1
+
+
+def test_morse_index_zero_pivot():
+    # T = [[0, 1, 0], [1, 0, .5], [0, .5, 2]] has a zero leading pivot but is
+    # nonsingular; the recurrence must step over it, not divide by zero
+    diag, off = np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.5])
+    for b, d in ((np.array([0.1, 0.2, 0.3]), 1.0), (np.array([1.0, 0.0, 2.0]), -3.0)):
+        assert morse_index(diag, off, b, d) == _dense_index(diag, off, b, d)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_morse_index_of_hessian_blocks_matches_dense(dim):
+    grid = make_grid(dim, 15.0, 64, 2.0)
+    spec, strength = (SPEC3, STR3) if dim == 3 else (SPEC2, STR2)
+    lam = solve_lambda(spec, strength)
+    bump = np.cos(grid.nodes) * np.exp(-grid.nodes**2 / 8.0)
+    indices = []
+    for amp in (1.0, 3.0, 10.0, 20.0):
+        blocks = hessian_blocks(FieldState(grid, lam, 0.5, amp * bump), spec, strength)
+        indices.append(morse_index(*blocks))
+        assert indices[-1] == _dense_index(*blocks), amp
+    assert max(indices) >= 2  # the oscillating states reach past index 1
+
+
+@pytest.mark.parametrize(
+    "dim,omega,alpha,want",
+    [(2, 1.0, 0.0, 1), (2, 2.0, 0.0, 0), (3, 1.0, 1.0, 0)],
+)
+def test_morse_index_of_zero_state(dim, omega, alpha, want):
+    # below omega_alpha (2D, alpha = 0: 1.2609) the zero state has one
+    # descent direction, the bound state of the point interaction
+    spec = power_family(omega, 4.0 if dim == 2 else 2.5)
+    strength = InteractionStrength(alpha, dim)
+    grid = make_grid(dim, 20.0, 512, 4.0, p_growth=spec.p_growth)
+    lam = solve_lambda(spec, strength)
+    zero = FieldState(grid, lam, 0.0, np.zeros(grid.M + 1))
+    assert morse_index(*hessian_blocks(zero, spec, strength)) == want
 
 
 # ---------------------------------------------------------------------------

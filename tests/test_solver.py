@@ -374,3 +374,62 @@ def test_collapse_branch_shoots_once(monkeypatch):
     config = SolverConfig(M=128, max_iters=200, grad_tol=1e-7, grading_exponent=4.0)
     mountain_pass(SPEC2, STR2, config)
     assert calls == {"shoot": 1, "multistart": 1}
+
+
+# ---------------------------------------------------------------------------
+# the multistart ladder stops at the first Morse-certified start
+# ---------------------------------------------------------------------------
+
+LADDER_CONFIG = SolverConfig(M=512, max_iters=200, grad_tol=1e-7, grading_exponent=4.0)
+
+
+@pytest.fixture(scope="module")
+def ladder_2d():
+    # 2D cubic, alpha = 0, omega = 1 < omega_alpha: the zero state has index
+    # 1, the path collapses, and the ladder's 3rd start (c = 1, q0 = 2) is the
+    # first nontrivial limit of positive energy and index 2
+    import deltafield.solver as solver
+
+    calls = []
+    refine = solver.newton_refine
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].charge)
+        return refine(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "newton_refine", counting)
+        result = mountain_pass(SPEC2, STR2, LADDER_CONFIG)
+    return result, calls
+
+
+def test_ladder_stops_at_first_certified_start(ladder_2d):
+    result, calls = ladder_2d
+    assert calls == [0.5, 1.0, 2.0]
+    assert result.morse_index == 2
+    assert result.sigma_estimate > 0
+
+
+def test_full_ladder_gives_the_early_exit_point(ladder_2d, monkeypatch):
+    # with no start certified the ladder runs all 28 starts and falls back on
+    # the smallest positive energy: the same critical point
+    import deltafield.solver as solver
+
+    monkeypatch.setattr(solver, "morse_index", lambda *blocks: -1)
+    full = mountain_pass(SPEC2, STR2, LADDER_CONFIG)
+    early, _ = ladder_2d
+    assert full.sigma_estimate == pytest.approx(early.sigma_estimate, rel=1e-12, abs=0)
+    assert abs(full.state.charge) == pytest.approx(abs(early.state.charge), rel=1e-12, abs=0)
+    assert not full.converged  # index -1 is not the target 0
+
+
+def test_converged_requires_the_morse_index_certificate():
+    # 3D p = 2.5, alpha = 1 stopped after 20 sweeps: Newton from the path max
+    # lands on a genuine critical point of index 2 (sigma = 635.64, far above
+    # the index-1 level 72.09) whose residual gates all pass
+    config = SolverConfig(M=2048, max_iters=20, grad_tol=1e-7, grading_exponent=4.0)
+    result = mountain_pass(SPEC3, STR3, config)
+    assert result.sigma_estimate == pytest.approx(635.64, rel=1e-4)
+    assert result.report.gradient_norm <= config.grad_tol
+    assert result.morse_index == 2
+    assert not result.converged
