@@ -30,7 +30,7 @@ import sys
 from dataclasses import fields as dc_fields
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .field import load_profile, save_profile
 from .functional import verify
@@ -196,13 +196,15 @@ def _cmd_verify(args):
 
 def _quad_lam_l2(dim, lam):
     """lambda * ||G_lambda||_2^2 by adaptive quadrature (oracle column)."""
+    from scipy.integrate import quad  # only this command needs scipy.integrate
+
     s = math.sqrt(lam)
     if dim == 3:
-        val, _ = integrate.quad(
+        val, _ = quad(
             lambda r: math.exp(-2.0 * s * r) / (4.0 * math.pi), 0.0, 40.0 / s
         )
     else:
-        val, _ = integrate.quad(
+        val, _ = quad(
             lambda r: r * special.k0(s * r) ** 2 / (2.0 * math.pi), 0.0, 40.0 / s,
             limit=200,
         )

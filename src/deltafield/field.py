@@ -122,9 +122,27 @@ class RadialGrid:
     # -- basic quadrature helpers -------------------------------------------
 
     def nodal_at_gauss(self, v):
-        """Evaluate the piecewise-linear interpolant of nodal values at Gauss points."""
+        """Evaluate the piecewise-linear interpolant of nodal values at Gauss points.
+
+        The first cell holds the _GAUSS_FIRST leading points and cell i >= 1 the
+        next _GAUSS_CELL, so with ends = v[1:] repeated _GAUSS_CELL times the
+        left node values of the regular cells are ends[:-_GAUSS_CELL] and the
+        right ones ends[_GAUSS_CELL:]: no index gather is needed.
+        """
         v = np.asarray(v)
-        return (1.0 - self.glam) * v[self.gcell] + self.glam * v[self.gcell + 1]
+        k, c, gl = _GAUSS_FIRST, _GAUSS_CELL, self.glam
+        dtype = np.result_type(v, gl)
+        ends = np.repeat(v[1:].astype(dtype, copy=False), c)
+        out = np.empty(gl.shape, dtype)
+        out[:k] = (1.0 - gl[:k]) * v[0] + gl[:k] * v[1]
+        # (1 - glam) * left + glam * right, in place on out and ends
+        reg = out[k:]
+        np.subtract(1.0, gl[k:], out=reg)
+        reg *= ends[:-c]
+        right = ends[c:]
+        right *= gl[k:]
+        reg += right
+        return out
 
     def integrate_gauss(self, values_at_gauss):
         return np.dot(self.gw, values_at_gauss)
@@ -142,8 +160,15 @@ class RadialGrid:
         return np.dot(self.gw, ag * bg)
 
     def stiffness_inner(self, a, b):
+        """<grad a, grad b> for nodal vectors, conjugate-linear in b.
+
+        One diff when a is b, and the conjugate only for complex b:
+        conj(diff(b)) equals diff(conj(b)) exactly in IEEE arithmetic.
+        """
         da = np.diff(np.asarray(a))
-        db = np.diff(np.conjugate(np.asarray(b)))
+        db = da if b is a else np.diff(np.asarray(b))
+        if np.iscomplexobj(db):
+            db = np.conjugate(db)
         return np.dot(self.stiff_k, da * db)
 
     def compatible(self, other):

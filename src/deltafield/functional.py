@@ -198,8 +198,7 @@ def coercive_norm_sq(grid, lam, strength, dphi, dq):
     _require_coercive(lam, strength)
     g = _operator(grid, lam)
     md, mo = g["mass"]
-    # one diff, where grid.stiffness_inner takes two and copies for the conjugate
-    grad = float(np.dot(grid.stiff_k, np.diff(dphi) ** 2))
+    grad = float(grid.stiffness_inner(dphi, dphi))
     mass = float(np.dot(md, dphi * dphi) + 2.0 * np.dot(mo, dphi[:-1] * dphi[1:]))
     return grad + lam * mass + (strength.alpha + g["xi"]) * dq * dq
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .field import (
     FieldState,
@@ -131,10 +130,32 @@ def solve_lambda(spec, strength):
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with Shampine's quartic
 # dense output (Math. Comp. 46, 1986): scipy's RK45 tableau, initial-step rule
 # and step controller, stepping the 2-vector (u, u') on Python floats, where
-# numpy's per-call overhead would cost more than the arithmetic.
-_DP_STAGES = list(zip(RK45.C.tolist(), [row[:i] for i, row in enumerate(RK45.A.tolist())]))[1:]
-_DP_B = RK45.B.tolist()
-_DP_E = RK45.E.tolist()
+# numpy's per-call overhead would cost more than the arithmetic.  The tableau
+# is typed out so that a solve never imports scipy.integrate.
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]
+_DP_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+]
+_DP_B = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_DP_E = [-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40]
+# dense output: u(r + x h) = u + h * sum_m (K P)_m x^(m+1), K the seven stage slopes
+_DP_P = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+_DP_STAGES = list(zip(_DP_C, _DP_A))[1:]
 
 
 def _rms(x, y):
@@ -227,7 +248,7 @@ def _dense_u(steps, t):
     ts = np.array([s[0] for s in steps] + [steps[-1][1]])
     hs = np.diff(ts)
     u0 = np.array([s[2] for s in steps])
-    Q = np.array([s[3] for s in steps]) @ RK45.P
+    Q = np.array([s[3] for s in steps]) @ _DP_P
     i = np.clip(np.searchsorted(ts, t) - 1, 0, len(steps) - 1)
     x = (t - ts[i]) / hs[i]
     powers = np.cumprod(np.repeat(x[:, None], Q.shape[1], axis=1), axis=1)
@@ -458,8 +479,9 @@ def newton_refine(state, spec, strength, config):
     raise NewtonError("Newton did not reach tolerance: %.3e" % res, history)
 
 
-def _descent_step(knot, spec, strength, max_dist=None):
-    """One Armijo-backtracked steepest-descent step in the dual metric.
+def _descent_step(knot, e0, spec, strength, max_dist=None):
+    """One Armijo-backtracked steepest-descent step in the dual metric from a
+    knot of energy e0.
 
     max_dist caps the displacement (coercive norm) so the maximizing knot
     cannot tunnel through the mountain-pass barrier in a single move.
@@ -467,7 +489,6 @@ def _descent_step(knot, spec, strength, max_dist=None):
     gp, gq = gradient_vector(knot, spec, strength)
     zp, zq = riesz_representative(knot, strength, gp, gq)
     gsq = float(np.dot(gp, zp) + gq * zq)
-    e0 = energy(knot, spec, strength).total
     t = _DESCENT_STEP
     if max_dist is not None and gsq > 0:
         # the Riesz step of size t moves the state by t * sqrt(gsq)
@@ -493,16 +514,20 @@ def _state_dist(a, b, strength):
     return math.sqrt(max(coercive_norm_sq(a.grid, a.lam, strength, dphi, dq), 0.0))
 
 
-def _reparametrize(knots, strength):
-    """Redistribute the knots evenly along the polyline (endpoints fixed).
+def _segments(knots, strength):
+    """Coercive lengths of the polyline's segments, knot i to knot i + 1."""
+    return [_state_dist(knots[i + 1], knots[i], strength) for i in range(len(knots) - 1)]
+
+
+def _reparametrize(knots, seg):
+    """Redistribute the knots evenly along the polyline (endpoints fixed), given
+    its segment lengths seg (_segments).  The endpoints stay the same objects.
 
     Keeps the discrete path connected, so pushing the maximizing knot downhill
     cannot make the path maximum collapse below the pass level.
     """
     K = len(knots) - 1
-    seg = np.array(
-        [_state_dist(knots[i + 1], knots[i], strength) for i in range(K)]
-    )
+    seg = np.array(seg)
     total = seg.sum()
     if total <= 0:
         return knots
@@ -616,14 +641,13 @@ def mountain_pass(spec, strength, config):
                     refined = cand
                 break
             # drop the collapsed interior knots back onto a fresh path
-            knots = _reparametrize(knots, strength)
-            energies = [energy(k, spec, strength).total for k in knots]
+            knots = _reparametrize(knots, _segments(knots, strength))
+            energies[1:-1] = [energy(k, spec, strength).total for k in knots[1:-1]]
             continue
-        path_len = sum(
-            _state_dist(knots[i + 1], knots[i], strength) for i in range(len(knots) - 1)
-        )
+        seg = _segments(knots, strength)
+        path_len = sum(seg)
         cap = 0.5 * path_len / (len(knots) - 1) if path_len > 0 else None
-        new_knot, gn, e1 = _descent_step(knot, spec, strength, max_dist=cap)
+        new_knot, gn, e1 = _descent_step(knot, energies[j], spec, strength, max_dist=cap)
         trace.append((it, energies[j], gn, float(np.real(knot.charge))))
         if gn < best_gn:
             best_gn, best_state = gn, knot
@@ -640,8 +664,12 @@ def mountain_pass(spec, strength, config):
             switch *= 0.5  # failed or trivial: keep descending, demand a better start
         knots[j] = new_knot
         energies[j] = e1
-        knots = _reparametrize(knots, strength)
-        energies = [energy(k, spec, strength).total for k in knots]
+        # only the two segments at knot j moved; the endpoints keep their energies
+        for i in (j - 1, j):
+            if 0 <= i < len(seg):
+                seg[i] = _state_dist(knots[i + 1], knots[i], strength)
+        knots = _reparametrize(knots, seg)
+        energies[1:-1] = [energy(k, spec, strength).total for k in knots[1:-1]]
     if refined is None and best_state is not None:
         cand = _on_grid(best_state, solve_grid, lam)
         try:

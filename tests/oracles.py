@@ -2,7 +2,9 @@
 
 The state algebra (zero_state, add, l2_inner, change_lambda), the coercive
 norm assembled term by term with Gauss quadrature (h1_alpha_norm_sq), the
-extended dilation functional J(theta, u) = I(u(e^{-theta} .)) and the
+interpolant at the Gauss points by an index gather (nodal_at_gauss_gather),
+the stiffness form with a diff of each argument (stiffness_inner_two_diffs),
+the extended dilation functional J(theta, u) = I(u(e^{-theta} .)) and the
 strong-form residual.  The library computes each of these another way (or
 not at all); the tests compare against these forms.
 """
@@ -20,6 +22,20 @@ from deltafield.nonlinearity import g_signed
 # ---------------------------------------------------------------------------
 # state algebra and the coercive norm
 # ---------------------------------------------------------------------------
+
+
+def nodal_at_gauss_gather(grid, v):
+    """The piecewise-linear interpolant of nodal v at the Gauss points, read
+    through each point's cell index (grid.gcell) and barycentric coordinate."""
+    v = np.asarray(v)
+    return (1.0 - grid.glam) * v[grid.gcell] + grid.glam * v[grid.gcell + 1]
+
+
+def stiffness_inner_two_diffs(grid, a, b):
+    """<grad a, grad b>, diffing a and conj(b) separately."""
+    da = np.diff(np.asarray(a))
+    db = np.diff(np.conjugate(np.asarray(b)))
+    return np.dot(grid.stiff_k, da * db)
 
 
 def zero_state(grid, lam):

@@ -397,19 +397,34 @@ def test_criterion_8_blowup_diagnostic(result_3d_p28, result_2d):
     slope3 = result_3d_p28.report.blowup_exponent
     slope2 = result_2d.report.blowup_exponent
     bound3 = 2.0 - 2.8 - 0.2
+    # The p = 2.8 point is the mountain-pass point (index 1, gradient and
+    # Pohozaev gates pass), yet it is not converged: near the origin the
+    # regular part behaves like phi(0) + c r^(3-p), so on the grading-4 grid
+    # the nodal phi(0) is off by O(M^(-4(3-p))) and the boundary gate alone
+    # fails (residual about 4.6e-3 against a bound of about 5.2e-5).
+    gates, detail = _gate_report(result_3d_p28, STR3)
+    failed = sorted(name for name, passed in gates.items() if not passed)
+    boundary_only = ["boundary<=1e-5*(alpha+xi)*q", "converged"]
     ok = (
         slope3 is not None
         and slope3 >= bound3
         and slope2 is not None
         and slope2 >= -0.1
+        and failed == boundary_only
+        and result_3d_p28.morse_index == 1
     )
     print(
         "criterion 8: %s  3D p=2.8 inner slope %.4f (bound >= %.1f), "
-        "2D inner slope %.4f (bound >= -0.1)"
-        % (_status(ok), slope3, bound3, slope2)
+        "2D inner slope %.4f (bound >= -0.1) | 3D p=2.8 %s index=%s failed=%s"
+        % (_status(ok), slope3, bound3, slope2, detail, result_3d_p28.morse_index, failed)
     )
     assert slope3 is not None and slope3 >= bound3
     assert slope2 is not None and slope2 >= -0.1
+    assert not result_3d_p28.converged
+    assert gates["gradient_norm<=1e-8"]
+    assert gates["pohozaev<=1e-5*(1+|sigma|)"]
+    assert result_3d_p28.morse_index == 1
+    assert failed == boundary_only
 
 
 # ---------------------------------------------------------------------------

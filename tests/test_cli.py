@@ -121,6 +121,29 @@ def test_solve_shooting_failure_exits_1(tmp_path):
     assert not out.exists()
 
 
+def test_solve_never_imports_scipy_integrate(tmp_path):
+    # only `identities` integrates by quadrature; importing the CLI and solving
+    # must not pay for loading scipy.integrate
+    cfg = _write(tmp_path, _config(solver={"M": 64, "max_iters": 2}))
+    code = (
+        "import sys\n"
+        "import deltafield.cli as cli\n"
+        "on_import = 'scipy.integrate' in sys.modules\n"
+        "cli.main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(on_import, 'scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(deltafield.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["False", "False"]
+
+
 # ---------------------------------------------------------------------------
 # solve -> verify pipeline
 # ---------------------------------------------------------------------------

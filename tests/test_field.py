@@ -25,6 +25,7 @@ from oracles import (
     h1_alpha_norm_sq,
     h1_alpha_total,
     l2_inner,
+    nodal_at_gauss_gather,
     zero_state,
 )
 
@@ -86,6 +87,24 @@ def test_hat_interpolation_second_order():
         errs.append(abs(grid.mass_inner(f, f) - exact))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     assert all(r > 3.5 for r in ratios)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("M", [64, 2048])
+@pytest.mark.parametrize("dilated", [False, True])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_nodal_at_gauss_matches_gather_exactly(dim, M, dilated, kind):
+    grid = make_grid(dim, 20.0, M, 4.0)
+    if dilated:
+        grid = dilate(zero_state(grid, 1.0), 3.7).grid
+    rng = np.random.default_rng(M + dim)
+    v = rng.standard_normal(M + 1)
+    if kind == "complex":
+        v = v + 1j * rng.standard_normal(M + 1)
+    got = grid.nodal_at_gauss(v)
+    want = nodal_at_gauss_gather(grid, v)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_default_grading():

@@ -13,6 +13,7 @@ from deltafield.field import (
     scale,
 )
 from deltafield.functional import (
+    _norms,
     arrow_solve,
     blowup_diagnostic,
     boundary_residual,
@@ -39,6 +40,7 @@ from oracles import (
     h1_alpha_total,
     l2_inner,
     radial_laplacian,
+    stiffness_inner_two_diffs,
     zero_state,
 )
 
@@ -178,6 +180,23 @@ def test_coercive_norm_matches_gauss_oracle(dim):
         want = h1_alpha_total(st, strength)
         got = coercive_norm_sq(grid, lam, strength, st.phi, st.charge)
         assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_kinetic_term_equals_stiffness_inner_exactly(dim, complex_data):
+    # one diff for a is b and a conjugate only of complex data, bit for bit
+    grid, _, _ = _setup(dim)
+    for seed in range(3):
+        st = _random_state(grid, 1.0, 90 + seed, complex_data=complex_data)
+        other = _random_state(grid, 1.0, 190 + seed, complex_data=complex_data)
+        want = stiffness_inner_two_diffs(grid, st.phi, st.phi)
+        got = grid.stiffness_inner(st.phi, st.phi)
+        assert got == want and np.result_type(got) == np.result_type(want)
+        assert _norms(st)[0] == float(np.real(want))
+        want_ab = stiffness_inner_two_diffs(grid, st.phi, other.phi)
+        assert grid.stiffness_inner(st.phi, other.phi) == want_ab
+        assert grid.stiffness_inner(st.phi, st.phi.copy()) == want
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from deltafield.field import FieldState, make_grid, save_profile
 from deltafield.functional import energy, gradient_norm, pohozaev_residual
@@ -20,6 +20,11 @@ from deltafield.nonlinearity import (
     saturating_family,
 )
 from deltafield.solver import (
+    _DP_A,
+    _DP_B,
+    _DP_C,
+    _DP_E,
+    _DP_P,
     NewtonError,
     SolverConfig,
     _shoot,
@@ -160,6 +165,15 @@ def test_shoot_verdicts_match_solve_ivp(case):
             assert len(got) == len(radii)
             np.testing.assert_allclose(got[:-1], radii[:-1], rtol=1e-5)
     assert "over" in verdicts and len(verdicts) >= 2
+
+
+def test_dormand_prince_tableau_is_scipys():
+    # typed out in the solver so that solves never import scipy.integrate
+    assert np.array_equal(_DP_C, RK45.C)
+    assert np.array_equal([row + [0.0] * (5 - len(row)) for row in _DP_A], RK45.A)
+    assert np.array_equal(_DP_B, RK45.B)
+    assert np.array_equal(_DP_E, RK45.E)
+    assert np.array_equal(_DP_P, RK45.P)
 
 
 G_FAMILIES = {
@@ -344,15 +358,50 @@ def test_reparametrized_paths_stay_on_one_grid(monkeypatch):
     radii = []
     reparametrize = solver._reparametrize
 
-    def recording(knots, strength):
+    def recording(knots, *args):
         radii.append({k.grid.r_max for k in knots})
-        return reparametrize(knots, strength)
+        return reparametrize(knots, *args)
 
     monkeypatch.setattr(solver, "_reparametrize", recording)
     mountain_pass(SPEC3, STR3, SolverConfig(M=256, max_iters=200))
     assert radii
     mixed = sum(len(r) > 1 for r in radii)
     assert mixed == 0, "%d of %d reparametrized paths mix grids" % (mixed, len(radii))
+
+
+def test_sweeps_reuse_known_energies_and_segment_lengths(monkeypatch):
+    # a sweep measures the 16 segments once and, after moving knot j, only the
+    # 2 segments at j; no state's energy is evaluated twice (the endpoints and
+    # the maximizing knot already have theirs in the sweep's energy list)
+    import deltafield.solver as solver
+
+    dists, states, stale = [], [], []
+    state_dist, energy_ = solver._state_dist, solver.energy
+    reparametrize = solver._reparametrize
+
+    def counting(*args):
+        dists.append(args)
+        return state_dist(*args)
+
+    def recording(state, *args):
+        states.append(state)  # held, so ids stay unique
+        return energy_(state, *args)
+
+    def checking(knots, seg):
+        fresh = [state_dist(b, a, STR3) for a, b in zip(knots, knots[1:])]
+        stale.append(seg != fresh)
+        return reparametrize(knots, seg)
+
+    monkeypatch.setattr(solver, "_state_dist", counting)
+    monkeypatch.setattr(solver, "energy", recording)
+    monkeypatch.setattr(solver, "_reparametrize", checking)
+    result = mountain_pass(SPEC3, STR3, SolverConfig(M=256, max_iters=20))
+    # every sweep descends: no collapse branch, no Newton handoff inside the loop
+    assert result.iterations == len(result.trace) == 20
+    assert len(dists) == 18 * result.iterations
+    assert len({id(s) for s in states}) == len(states)
+    # the kept lengths are exactly those of the knots being redistributed
+    assert len(stale) == 20 and not any(stale)
 
 
 def test_collapse_branch_shoots_once(monkeypatch):
