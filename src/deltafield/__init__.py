@@ -3,8 +3,9 @@ interaction at the origin, in dimensions 2 and 3.
 
 States are u = phi + q * G_lam (regular part plus charged Green-function
 singularity).  The package evaluates the action functional and its residual
-identities, and finds nontrivial critical points by a numerical mountain-pass
-construction with Newton refinement.
+identities, and finds the mountain-pass critical point by Newton's method:
+from the scalar ground state, then from a fixed ladder of starts around it,
+keeping the first limit whose Morse index certifies it.
 """
 
 from .greens import (  # noqa: F401

@@ -2,9 +2,9 @@
 
 Three subcommands:
   solve      -- run the mountain-pass solver from a JSON config, write the
-                profile (CSV + sidecar), verification report, iteration trace
-                and a copy of the config; exit 0 converged / 2 not / 1 config
-                or no scalar ground-state bracket.
+                profile (CSV + sidecar), verification report, Newton residual
+                history and a copy of the config; exit 0 converged / 2 not /
+                1 config or no scalar ground-state bracket.
   verify     -- recompute the verification report for a saved profile.
   identities -- closed-form vs quadrature table for the Green's-function
                 scalars over a lambda range.
@@ -125,15 +125,16 @@ def _cmd_solve(args):
                 "m0_estimate": result.m0_estimate,
                 "p_regime": result.p_regime,
                 "morse_index": result.morse_index,
+                "newton_start": result.newton_start,
                 "report": result.report.to_json_dict(),
             },
             fh,
             indent=2,
         )
     with open(os.path.join(args.out, "trace.csv"), "w") as fh:
-        fh.write("iteration,sigma_estimate,gradient_norm,charge\n")
-        for it, sigma, gn, q in result.trace:
-            fh.write("%d,%.17g,%.17g,%.17g\n" % (it, sigma, gn, q))
+        fh.write("iteration,gradient_norm\n")
+        for it, gn in enumerate(result.trace):
+            fh.write("%d,%.17g\n" % (it, gn))
     with open(os.path.join(args.out, "run_config.json"), "w") as fh:
         json.dump(
             {

@@ -34,8 +34,6 @@ __all__ = [
     "FieldState",
     "make_grid",
     "default_grading",
-    "dilate",
-    "scale",
     "gauge_fix",
     "resample",
     "save_profile",
@@ -242,30 +240,6 @@ class FieldState:
         """u = phi + q G at the grid's Gauss points (never evaluated at r=0)."""
         g = self.grid.green(self.lam)
         return self.grid.nodal_at_gauss(self.phi) + self.charge * g["gp"]
-
-
-def dilate(state, t):
-    """u(x/t): lambda -> lambda/t^2, q -> t^{N-2} q, grid r_max -> t r_max.
-
-    The graded nodes scale linearly with r_max, so phi(r/t) at the new nodes is
-    exactly the old nodal values; no interpolation error enters.
-    """
-    if not t > 0:
-        raise ValueError("dilation factor must be positive")
-    if t == 1.0:
-        return state
-    grid = state.grid
-    new_grid = RadialGrid(grid.dim, grid.r_max * t, grid.M, grid.grading_exponent)
-    return FieldState(
-        new_grid,
-        state.lam / t**2,
-        t ** (grid.dim - 2) * state.charge,
-        np.array(state.phi),
-    )
-
-
-def scale(state, c):
-    return FieldState(state.grid, state.lam, c * state.charge, c * state.phi)
 
 
 def gauge_fix(state):

@@ -15,7 +15,7 @@ For the action I(u) with u = phi + q G_lam:
 
 The coercive norm ||grad phi||^2 + lam ||phi||^2 + (alpha + xi_lam)|q|^2 of
 the energy space (lam > omega_alpha) is assembled once per (grid, lam) by
-_operator; coercive_norm_sq, riesz_representative and hessian_blocks read it.
+_operator; riesz_representative and hessian_blocks read it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "hessian_blocks",
     "arrow_solve",
     "morse_index",
-    "coercive_norm_sq",
     "pohozaev_residual",
     "pohozaev_residual_alt",
     "boundary_residual",
@@ -190,17 +189,6 @@ def _operator(grid, lam):
 def _require_coercive(lam, strength):
     if not lam > omega_alpha(strength):
         raise ValueError("coercive norm needs lambda > omega_alpha")
-
-
-def coercive_norm_sq(grid, lam, strength, dphi, dq):
-    """||grad phi||^2 + lam ||phi||^2 + (alpha + xi_lam) q^2 for real nodal dphi
-    and charge dq, with the mass term read from the cached bands."""
-    _require_coercive(lam, strength)
-    g = _operator(grid, lam)
-    md, mo = g["mass"]
-    grad = float(grid.stiffness_inner(dphi, dphi))
-    mass = float(np.dot(md, dphi * dphi) + 2.0 * np.dot(mo, dphi[:-1] * dphi[1:]))
-    return grad + lam * mass + (strength.alpha + g["xi"]) * dq * dq
 
 
 def riesz_representative(state, strength, grad_phi, grad_q):

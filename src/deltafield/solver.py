@@ -6,12 +6,12 @@ Three layers:
     u(0); each shot is a Dormand-Prince 5(4) integration on Python floats
     (scipy's RK45 tableau and step controller), classified by sign changes at
     step ends, and the profile comes from the final shot's dense output;
-  * mountain_pass -- path deformation: start from the segment joining the zero
-    state to a dilated negative-energy state (with a small charge perturbation
-    so the optimizer can move in q), repeatedly push the maximizing knot along
-    the dual-norm steepest descent direction, then hand over to Newton;
   * newton_refine -- damped Newton on the coupled (phi, q) discrete system,
-    quadratically convergent near a critical point.
+    quadratically convergent near a critical point;
+  * mountain_pass -- Newton from the scalar profile (q = 0), then from a
+    fixed charge/amplitude ladder around it, returning the first nontrivial
+    limit of positive energy and mountain-pass Morse index, verified and
+    checked by convergence_gates.
 """
 
 from __future__ import annotations
@@ -21,23 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (
-    FieldState,
-    dilate,
-    gauge_fix,
-    make_grid,
-    resample,
-    scale,
-)
+from .field import FieldState, gauge_fix, make_grid, resample
 from .functional import (
     arrow_solve,
-    coercive_norm_sq,
     energy,
     gradient_norm,
     gradient_vector,
     hessian_blocks,
     morse_index,
-    riesz_representative,
     verify,
 )
 from .greens import omega_alpha, xi
@@ -52,26 +43,20 @@ __all__ = [
     "scalar_ground_state",
     "initial_path",
     "newton_refine",
+    "convergence_gates",
     "mountain_pass",
 ]
 
 
-# Path construction and descent: the initial dilation factor of the seed and
-# its cap, the mid-path charge bump, and the first trial step of a descent move.
-_DILATION_T = 4.0
-_DILATION_T_CAP = 64.0
-_Q_AMPLITUDE = 0.1
-_DESCENT_STEP = 0.5
-
-
 @dataclass(frozen=True)
 class SolverConfig:
+    # path_knots and max_iters sized the deleted path deformation; they are
+    # accepted and ignored so that configs which set them still parse.
     path_knots: int = 17
     max_iters: int = 400
     grad_tol: float = 1e-8
     newton_tol: float = 1e-10
     seed_profile: str = "scalar_ground_state"  # bump | scalar_ground_state | file
-    newton_switch: float = 5e-2
     M: int = 512
     r_max: float | None = None
     grading_exponent: float | None = None
@@ -80,8 +65,6 @@ class SolverConfig:
     newton_max_iter: int = 60
 
     def __post_init__(self):
-        if self.path_knots < 16:
-            raise ValueError("path_knots must be >= 16")
         if not (self.grad_tol > 0 and self.newton_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.seed_profile not in ("bump", "scalar_ground_state", "file"):
@@ -94,11 +77,12 @@ class SolveResult:
     sigma_estimate: float
     m0_estimate: float | None
     report: object
-    iterations: int
+    iterations: int  # Newton steps of the returned limit
     converged: bool
-    trace: tuple = ()
+    trace: tuple = ()  # its Newton residual history, start included
     p_regime: str | None = None
     morse_index: int | None = None
+    newton_start: tuple | None = None  # (c, q0) of the certified start
 
 
 class ShootingError(RuntimeError):
@@ -330,6 +314,10 @@ def _dummy_strength(dim):
 # Mountain pass.
 # ---------------------------------------------------------------------------
 
+# Newton starts after the seed itself: phi = c * seed profile, charge q0.
+_LADDER_C = (1.0, 0.5, 1.5, 2.0)
+_LADDER_Q0 = (0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0)
+
 
 def _seed_state(spec, dim, config, grid, lam):
     if config.seed_profile == "scalar_ground_state":
@@ -367,77 +355,25 @@ def _solve_grid(spec, strength, config):
     return grid, lam
 
 
-def _on_grid(state, grid, lam):
-    """state as a real-gauge FieldState on grid at lam, resampled if it lives
-    on another grid."""
-    if not state.grid.compatible(grid):
-        state = resample(state, grid)
-    return FieldState(grid, lam, float(np.real(state.charge)), np.real(np.asarray(state.phi)))
-
-
 def initial_path(spec, strength, config, seed=None):
-    """Discretized mountain-pass path: knots k/K * z with z a dilated
-    negative-energy state, plus a small mid-path charge bump.
+    """The ordered Newton starts of a solve.
 
-    Returns (knots, m0, lam).  The knots share one grid (the seed grid scaled
-    by the dilation factor) and the seed's lambda.  seed is the (state, m0)
-    pair of _seed_state on the solve grid when the caller already has it.
+    Returns (starts, m0, lam); starts lists ((c, q0), state) pairs, state the
+    seed profile times c with charge q0 on the solve grid.  Start 0 is the
+    seed itself, (1, 0); the ladder follows, c in (1, 0.5, 1.5, 2) and then
+    q0 in (0.5, 1, 2, 4, 6, 8, 10).  seed is the (state, m0) pair of
+    _seed_state on the solve grid when the caller already has it.
+
+    The name is that of the mountain-pass path the solver used to deform;
+    it stays because perfbench/spans.py traces it by name.
     """
     if seed is None:
         seed = _seed_state(spec, strength.dim, config, *_solve_grid(spec, strength, config))
     seed, m0 = seed
-    lam = seed.lam
-    T = _DILATION_T
-    # Dilation alone can fail to reach negative energy (in 2D the kinetic term
-    # is scale-invariant and the scalar ground state has zero potential mass),
-    # so amplify the profile when the dilation factor hits its cap.
-    amp = 1.0
-    z = None
-    for _ in range(60):
-        seed_T = FieldState(seed.grid, lam * T * T, 0.0, amp * np.asarray(seed.phi))
-        z = dilate(seed_T, T)
-        en = energy(z, spec, strength).total
-        if en < 0:
-            break
-        T *= 1.5
-        if T > _DILATION_T_CAP:
-            T = _DILATION_T
-            amp *= 1.5
-    else:
-        raise RuntimeError(
-            "mountain pass endpoint not found: I(dilated seed) >= 0 up to "
-            "T=%g, amplitude factor %g" % (_DILATION_T_CAP, amp)
-        )
-    # Trim the endpoint to just past the zero-energy crossing: a deeply
-    # negative endpoint makes the polyline so long that the barrier region is
-    # undersampled and the discrete path max can tunnel through it.
-    def _en_at(c):
-        return energy(scale(z, c), spec, strength).total
-
-    cs = np.linspace(0.0, 1.0, 65)
-    vals = [_en_at(c) for c in cs]
-    c_pos = max((c for c, v in zip(cs, vals) if v > 0), default=0.0)
-    if c_pos > 0 and c_pos < 1.0:
-        lo, hi = c_pos, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _en_at(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        c_end = min(1.0, hi * 1.1)
-        while _en_at(c_end) >= 0 and c_end < 1.0:
-            c_end = min(1.0, c_end * 1.1)
-        if _en_at(c_end) < 0:
-            z = scale(z, c_end)
-    K = config.path_knots - 1
-    knots = []
-    for k in range(config.path_knots):
-        st = scale(z, k / K)
-        qk = _Q_AMPLITUDE * math.sin(math.pi * k / K)
-        st = FieldState(st.grid, st.lam, float(np.real(st.charge)) + qk, np.real(np.asarray(st.phi)))
-        knots.append(st)
-    return knots, m0, lam
+    phi = np.asarray(seed.phi, dtype=float)
+    pairs = [(1.0, 0.0)] + [(c, q0) for c in _LADDER_C for q0 in _LADDER_Q0]
+    starts = [((c, q0), FieldState(seed.grid, seed.lam, q0, c * phi)) for c, q0 in pairs]
+    return starts, m0, seed.lam
 
 
 def newton_refine(state, spec, strength, config):
@@ -479,77 +415,9 @@ def newton_refine(state, spec, strength, config):
     raise NewtonError("Newton did not reach tolerance: %.3e" % res, history)
 
 
-def _descent_step(knot, e0, spec, strength, max_dist=None):
-    """One Armijo-backtracked steepest-descent step in the dual metric from a
-    knot of energy e0.
-
-    max_dist caps the displacement (coercive norm) so the maximizing knot
-    cannot tunnel through the mountain-pass barrier in a single move.
-    """
-    gp, gq = gradient_vector(knot, spec, strength)
-    zp, zq = riesz_representative(knot, strength, gp, gq)
-    gsq = float(np.dot(gp, zp) + gq * zq)
-    t = _DESCENT_STEP
-    if max_dist is not None and gsq > 0:
-        # the Riesz step of size t moves the state by t * sqrt(gsq)
-        t = min(t, max_dist / math.sqrt(gsq))
-    while t > 1e-12:
-        cand = FieldState(
-            knot.grid,
-            knot.lam,
-            float(np.real(knot.charge)) - t * zq,
-            np.real(np.asarray(knot.phi)) - t * zp,
-        )
-        e1 = energy(cand, spec, strength).total
-        if e1 <= e0 - 0.25 * t * gsq:
-            return cand, math.sqrt(max(gsq, 0.0)), e1
-        t *= 0.5
-    return knot, math.sqrt(max(gsq, 0.0)), e0
-
-
-def _state_dist(a, b, strength):
-    """Distance in the coercive norm between two states on one grid/lambda."""
-    dphi = np.real(np.asarray(a.phi)) - np.real(np.asarray(b.phi))
-    dq = float(np.real(a.charge)) - float(np.real(b.charge))
-    return math.sqrt(max(coercive_norm_sq(a.grid, a.lam, strength, dphi, dq), 0.0))
-
-
-def _segments(knots, strength):
-    """Coercive lengths of the polyline's segments, knot i to knot i + 1."""
-    return [_state_dist(knots[i + 1], knots[i], strength) for i in range(len(knots) - 1)]
-
-
-def _reparametrize(knots, seg):
-    """Redistribute the knots evenly along the polyline (endpoints fixed), given
-    its segment lengths seg (_segments).  The endpoints stay the same objects.
-
-    Keeps the discrete path connected, so pushing the maximizing knot downhill
-    cannot make the path maximum collapse below the pass level.
-    """
-    K = len(knots) - 1
-    seg = np.array(seg)
-    total = seg.sum()
-    if total <= 0:
-        return knots
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, K + 1)
-    out = [knots[0]]
-    for k in range(1, K):
-        t = targets[k]
-        i = int(np.searchsorted(cum, t, side="right") - 1)
-        i = min(i, K - 1)
-        frac = 0.0 if seg[i] == 0 else (t - cum[i]) / seg[i]
-        a, b = knots[i], knots[i + 1]
-        phi = (1 - frac) * np.real(np.asarray(a.phi)) + frac * np.real(np.asarray(b.phi))
-        q = (1 - frac) * float(np.real(a.charge)) + frac * float(np.real(b.charge))
-        out.append(FieldState(a.grid, a.lam, q, phi))
-    out.append(knots[K])
-    return out
-
-
-def _nontrivial(state, spec, strength):
-    """Reject Newton limits that are the zero state (or numerically trivial)."""
-    en = energy(state, spec, strength).total
+def _nontrivial(state, en):
+    """False for Newton limits that are the zero state (or numerically
+    trivial); en is the state's energy."""
     size = float(np.max(np.abs(np.asarray(state.phi)))) + abs(state.charge)
     return size > 1e-8 and abs(en) > 1e-12
 
@@ -559,158 +427,90 @@ def _morse(state, spec, strength):
     return morse_index(*hessian_blocks(state, spec, strength))
 
 
-def _multistart_newton(spec, strength, config, grid, lam, seed_phi, target_index):
-    """Structured Newton restarts for degenerate path geometry.
+def convergence_gates(report, index, target_index, strength, config):
+    """The gates of `converged`, by name, for a verified real-gauge state.
 
-    When the zero state is not a local minimum (omega <= omega_alpha) the
-    deformation path slides below zero energy and never isolates a saddle, so
-    we probe a charge/amplitude ladder around the scalar profile instead, in
-    a fixed order.  Returns the first nontrivial Newton limit with positive
-    energy and Morse index target_index (one above the zero state's, the
-    index of a nondegenerate linking point over that level).  If no start
-    certifies, returns the nontrivial limit of smallest positive energy
-    (falling back to the one closest to zero), or None.
+    report is its VerificationReport and index its Morse index.  The gates
+    are the gradient norm, the Pohozaev and boundary residuals, the agreement
+    of the two 3D Pohozaev forms, and the Morse index, which must equal
+    target_index (one above the zero state's on the solve grid).
     """
-    best_key = None
-    best = None
-    for c in (1.0, 0.5, 1.5, 2.0):
-        for q0 in (0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0):
-            st = FieldState(grid, lam, q0, c * np.asarray(seed_phi, dtype=float))
-            try:
-                cand, _ = newton_refine(st, spec, strength, config)
-            except NewtonError:
-                continue
-            if not _nontrivial(cand, spec, strength):
-                continue
-            en = energy(cand, spec, strength).total
-            if en > 0 and _morse(cand, spec, strength) == target_index:
-                return cand
-            key = (en <= 0, abs(en))
-            if best_key is None or key < best_key:
-                best_key, best = key, cand
-    return best
+    sigma = report.energy.total
+    q = abs(report.charge)
+    tol = 100 * config.grad_tol
+    alt = report.pohozaev_residual_alt
+    charge_scale = 1 + (strength.alpha + xi(strength.dim, report.lam)) * q
+    return {
+        "gradient": report.gradient_norm <= config.grad_tol,
+        "pohozaev": abs(report.pohozaev_residual) <= tol * (1 + abs(sigma)),
+        "boundary": abs(report.boundary_residual) <= tol * charge_scale,
+        "pohozaev_forms": alt is None or abs(report.pohozaev_residual - alt) <= 1e-12,
+        "morse_index": index == target_index,
+    }
 
 
 def mountain_pass(spec, strength, config):
-    """Path deformation + Newton refinement; returns a SolveResult.
+    """Newton from the seed, then from the start ladder; returns a SolveResult.
 
-    Choi-McKenna deformation (Nonlinear Anal. 20, 1993): each sweep pushes the
-    maximizing knot (smallest index on ties) one capped descent step downhill,
-    then redistributes the knots evenly along the polyline.  The path maximum
-    is not monotone, since a redistributed knot can sit above the knots it
-    replaces.  When the maximizing knot's gradient norm falls under
-    newton_switch, it is handed to Newton; on success the refined, gauge-fixed
-    state is verified and gated.
+    Newton runs from the starts of initial_path in order and stops at the
+    first nontrivial limit of positive energy whose Morse index is one above
+    the zero state's on the solve grid: a nondegenerate critical point of
+    mountain-pass or linking type over the zero level has that index (Hofer,
+    Proc. AMS 90, 1984; Lazer-Solimini, Nonlinear Anal. 12, 1988).  That is
+    the first such point in start order, not necessarily the lowest.  If no
+    start certifies, the nontrivial limit of smallest positive energy is
+    returned (failing that, the one of energy closest to zero); if no start
+    reaches a nontrivial limit, the seed is returned, not converged.  The
+    returned state is gauge-fixed, verified, and converged when every
+    convergence_gates gate passes.
 
-    The gates are the gradient norm, the Pohozaev and boundary residuals,
-    the agreement of the two 3D Pohozaev forms, and the Morse index: it must
-    be one above the zero state's on the solve grid (Hofer, Proc. AMS 90,
-    1984; Lazer-Solimini, Nonlinear Anal. 12, 1988), so a critical point of
-    higher index that passes the residual gates is not reported converged.
+    The trace is the Newton residual history of the returned limit, and
+    newton_start the (c, q0) of the start that certified (None if none did).
     """
     dim = strength.dim
-    solve_grid, lam = _solve_grid(spec, strength, config)
-    zero = FieldState(solve_grid, lam, 0.0, np.zeros(solve_grid.M + 1))
+    grid, lam = _solve_grid(spec, strength, config)
+    zero = FieldState(grid, lam, 0.0, np.zeros(grid.M + 1))
     target_index = _morse(zero, spec, strength) + 1
-    # The collapse branch reuses the seed profile.
-    seed = _seed_state(spec, dim, config, solve_grid, lam)
-    knots, m0, _ = initial_path(spec, strength, config, seed=seed)
-    energies = [energy(k, spec, strength).total for k in knots]
-    trace = []
-    best_state = None
-    best_gn = math.inf
-    newton_history = None
-    iterations = 0
-    refined = None
-    switch = config.newton_switch
-    collapse_count = 0
-    for it in range(config.max_iters):
-        iterations = it + 1
-        j = int(np.argmax(energies))
-        knot = knots[j]
-        if j == 0 and energies[j] <= 1e-12:
-            # path max collapsed onto the zero endpoint: the landscape has no
-            # usable barrier along the current path (omega <= omega_alpha), so
-            # switch to structured Newton restarts around the scalar profile
-            collapse_count += 1
-            if collapse_count >= 3:
-                cand = _multistart_newton(
-                    spec, strength, config, solve_grid, lam, seed[0].phi, target_index
-                )
-                if cand is not None:
-                    refined = cand
-                break
-            # drop the collapsed interior knots back onto a fresh path
-            knots = _reparametrize(knots, _segments(knots, strength))
-            energies[1:-1] = [energy(k, spec, strength).total for k in knots[1:-1]]
-            continue
-        seg = _segments(knots, strength)
-        path_len = sum(seg)
-        cap = 0.5 * path_len / (len(knots) - 1) if path_len > 0 else None
-        new_knot, gn, e1 = _descent_step(knot, energies[j], spec, strength, max_dist=cap)
-        trace.append((it, energies[j], gn, float(np.real(knot.charge))))
-        if gn < best_gn:
-            best_gn, best_state = gn, knot
-        if gn <= switch:
-            try:
-                candidate, newton_history = newton_refine(
-                    _on_grid(knot, solve_grid, lam), spec, strength, config
-                )
-                if _nontrivial(candidate, spec, strength):
-                    refined = candidate
-                    break
-            except NewtonError:
-                pass
-            switch *= 0.5  # failed or trivial: keep descending, demand a better start
-        knots[j] = new_knot
-        energies[j] = e1
-        # only the two segments at knot j moved; the endpoints keep their energies
-        for i in (j - 1, j):
-            if 0 <= i < len(seg):
-                seg[i] = _state_dist(knots[i + 1], knots[i], strength)
-        knots = _reparametrize(knots, seg)
-        energies[1:-1] = [energy(k, spec, strength).total for k in knots[1:-1]]
-    if refined is None and best_state is not None:
-        cand = _on_grid(best_state, solve_grid, lam)
+    starts, m0, _ = initial_path(
+        spec, strength, config, seed=_seed_state(spec, dim, config, grid, lam)
+    )
+    found = None  # (limit, Newton history)
+    newton_start = None
+    best_key = None
+    for start, state in starts:
         try:
-            refined, newton_history = newton_refine(cand, spec, strength, config)
+            cand, history = newton_refine(state, spec, strength, config)
         except NewtonError:
-            refined = None
-            best_state = cand
-    final = gauge_fix(refined) if refined is not None else gauge_fix(best_state)
+            continue
+        en = energy(cand, spec, strength).total
+        if not _nontrivial(cand, en):
+            continue
+        if en > 0 and _morse(cand, spec, strength) == target_index:
+            found, newton_start = (cand, history), start
+            break
+        key = (en <= 0, abs(en))
+        if best_key is None or key < best_key:
+            best_key, found = key, (cand, history)
+    refined, history = found if found is not None else (starts[0][1], [])
+    final = gauge_fix(refined)
     final = FieldState(
         final.grid, final.lam, float(np.real(final.charge)), np.real(np.asarray(final.phi))
     )
     report = verify(final, spec, strength)
-    sigma = report.energy.total
-    xi_l = xi(dim, final.lam)
-    q = abs(final.charge)
-    gate_grad = report.gradient_norm <= config.grad_tol
-    gate_poho = abs(report.pohozaev_residual) <= 100 * config.grad_tol * (1 + abs(sigma))
-    gate_bdry = abs(report.boundary_residual) <= 100 * config.grad_tol * (
-        1 + (strength.alpha + xi_l) * q
-    )
-    gate_alt = True
-    if report.pohozaev_residual_alt is not None:
-        gate_alt = (
-            abs(report.pohozaev_residual - report.pohozaev_residual_alt) <= 1e-12
-        )
     index = _morse(final, spec, strength)
-    gate_index = index == target_index
-    converged = bool(
-        refined is not None and gate_grad and gate_poho and gate_bdry and gate_alt and gate_index
-    )
+    gates = convergence_gates(report, index, target_index, strength, config)
     p_regime = None
     if dim == 3:
         p_regime = "2<p<5/2 (classical)" if spec.p_growth < 2.5 else "5/2<=p<3 (weak-solution regime)"
     return SolveResult(
         state=final,
-        sigma_estimate=sigma,
+        sigma_estimate=report.energy.total,
         m0_estimate=m0,
         report=report,
-        iterations=iterations,
-        converged=converged,
-        trace=tuple(trace),
+        iterations=max(len(history) - 1, 0),
+        converged=found is not None and all(gates.values()),
+        trace=tuple(history),
         p_regime=p_regime,
         morse_index=index,
+        newton_start=newton_start,
     )

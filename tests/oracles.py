@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use.
 
-The state algebra (zero_state, add, l2_inner, change_lambda), the coercive
-norm assembled term by term with Gauss quadrature (h1_alpha_norm_sq), the
+The state algebra (zero_state, add, scale, dilate, l2_inner, change_lambda),
+the coercive norm from the cached operator bands (coercive_norm_sq) and
+assembled term by term with Gauss quadrature (h1_alpha_norm_sq), the
 interpolant at the Gauss points by an index gather (nodal_at_gauss_gather),
 the stiffness form with a diff of each argument (stiffness_inner_two_diffs),
 the extended dilation functional J(theta, u) = I(u(e^{-theta} .)) and the
@@ -14,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deltafield.field import FieldState
-from deltafield.functional import _norms, _potential, _require_real, gradient_vector
+from deltafield.field import FieldState, RadialGrid
+from deltafield.functional import (
+    _norms,
+    _operator,
+    _potential,
+    _require_coercive,
+    _require_real,
+    gradient_vector,
+)
 from deltafield.greens import omega_alpha, xi
 from deltafield.nonlinearity import g_signed
 
@@ -40,6 +48,41 @@ def stiffness_inner_two_diffs(grid, a, b):
 
 def zero_state(grid, lam):
     return FieldState(grid, lam, 0.0, np.zeros(grid.M + 1))
+
+
+def scale(state, c):
+    return FieldState(state.grid, state.lam, c * state.charge, c * state.phi)
+
+
+def dilate(state, t):
+    """u(x/t): lambda -> lambda/t^2, q -> t^{N-2} q, grid r_max -> t r_max.
+
+    The graded nodes scale linearly with r_max, so phi(r/t) at the new nodes is
+    exactly the old nodal values; no interpolation error enters.
+    """
+    if not t > 0:
+        raise ValueError("dilation factor must be positive")
+    if t == 1.0:
+        return state
+    grid = state.grid
+    new_grid = RadialGrid(grid.dim, grid.r_max * t, grid.M, grid.grading_exponent)
+    return FieldState(
+        new_grid,
+        state.lam / t**2,
+        t ** (grid.dim - 2) * state.charge,
+        np.array(state.phi),
+    )
+
+
+def coercive_norm_sq(grid, lam, strength, dphi, dq):
+    """||grad phi||^2 + lam ||phi||^2 + (alpha + xi_lam) q^2 for real nodal dphi
+    and charge dq, with the mass term read from the cached bands."""
+    _require_coercive(lam, strength)
+    g = _operator(grid, lam)
+    md, mo = g["mass"]
+    grad = float(grid.stiffness_inner(dphi, dphi))
+    mass = float(np.dot(md, dphi * dphi) + 2.0 * np.dot(mo, dphi[:-1] * dphi[1:]))
+    return grad + lam * mass + (strength.alpha + g["xi"]) * dq * dq
 
 
 def _check_same(a, b):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from deltafield.field import FieldState, dilate, make_grid, scale
+from deltafield.field import FieldState, make_grid
 from deltafield.functional import (
     derivative,
     energy,
@@ -30,9 +30,11 @@ from deltafield.solver import SolverConfig, mountain_pass, scalar_ground_state
 from oracles import (
     add,
     change_lambda,
+    dilate,
     extended_energy,
     extended_energy_dtheta,
     gradient_system,
+    scale,
 )
 
 SPEC3 = power_family(1.0, 2.5)
@@ -44,7 +46,6 @@ STR2 = InteractionStrength(0.0, 2)
 
 LARGE_CONFIG = dict(
     M=2048,
-    max_iters=200,
     grad_tol=1e-7,
     grading_exponent=4.0,
     seed_profile="scalar_ground_state",
@@ -386,6 +387,18 @@ def test_criterion_7_2d_cubic(result_2d_covered, result_2d):
         assert passed, "omega=2: " + name
     for name, passed in gates_out.items():
         assert passed, "omega=1: " + name
+
+
+def test_exit_routes(result_3d, result_2d):
+    # which Newton start certified: the seed itself for the 3D mountain pass;
+    # at 2D omega = 1 the seed's limit does not certify, the ladder's
+    # (c = 1, q0 = 2) does
+    print(
+        "exit routes: 3D p=2.5 start=%s  2D omega=1 start=%s"
+        % (result_3d.newton_start, result_2d.newton_start)
+    )
+    assert result_3d.newton_start == (1.0, 0.0)
+    assert result_2d.newton_start == (1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

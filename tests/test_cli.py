@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import importlib.util
 import json
 import math
 import os
@@ -63,6 +64,33 @@ def test_parse_config_rejects_unknown_top_key():
 def test_parse_config_rejects_unknown_solver_key():
     with pytest.raises(ConfigError):
         parse_config(_config(solver={"n_threads": 4}))
+    with pytest.raises(ConfigError, match="newton_switch"):
+        parse_config(_config(solver={"newton_switch": 5e-2}))
+
+
+def _perfbench_run_module():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)  # puts perfbench/ on sys.path for its imports
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def test_benchmark_solve_configs_parse():
+    # the benchmark harness sets max_iters and path_knots (the self-test's
+    # solve sets both too), which the solver keeps as accepted no-ops
+    configs = dict(_perfbench_run_module().SOLVE_CONFIGS)
+    configs["selftest"] = _config(
+        solver={"M": 64, "max_iters": 60, "seed_profile": "bump", "path_knots": 16}
+    )
+    for name, data in configs.items():
+        _spec, _strength, config = parse_config(json.loads(json.dumps(data)))
+        for key, value in data["solver"].items():
+            assert getattr(config, key) == value, (name, key)
 
 
 def test_parse_config_rejects_unknown_nonlinearity_key():
@@ -191,22 +219,28 @@ def test_solve_report_contents(solved):
         "m0_estimate",
         "p_regime",
         "morse_index",
+        "newton_start",
         "report",
     }
     assert report["converged"] == (code == 0)
+    assert report["newton_start"] == [1.0, 0.0]
     assert report["sigma_estimate"] < report["m0_estimate"]
     assert report["report"]["charge_re"] > 0
 
 
 def test_solve_trace_format(solved):
+    # the Newton residual history of the start that certified
     out, _ = solved
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "iteration,sigma_estimate,gradient_norm,charge"
-    assert len(lines) >= 2
-    first = lines[1].split(",")
-    assert len(first) == 4
-    int(first[0])
-    float(first[1])
+    assert lines[0] == "iteration,gradient_norm"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) >= 2 and all(len(row) == 2 for row in rows)
+    assert [int(row[0]) for row in rows] == list(range(len(rows)))
+    residuals = [float(row[1]) for row in rows]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+    assert residuals[-1] <= 1e-10  # the default newton_tol
+    report = json.loads((out / "report.json").read_text())
+    assert report["iterations"] == len(rows) - 1
 
 
 def test_verify_roundtrip(solved):
@@ -275,22 +309,19 @@ def test_verify_zero_state(tmp_path, capsys):
 
 
 def test_solve_non_converged_still_writes_best_state(tmp_path):
-    cfg = _write(
-        tmp_path,
-        _config(solver={"M": 128, "max_iters": 1, "newton_switch": 1e-14}),
-    )
+    # no Newton step allowed: no start reaches a limit, the seed is written
+    cfg = _write(tmp_path, _config(solver={"M": 128, "newton_max_iter": 0}))
     code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
     assert (tmp_path / "profile.csv").exists()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is False
+    assert report["newton_start"] is None and report["iterations"] == 0
+    assert (tmp_path / "trace.csv").read_text() == "iteration,gradient_norm\n"
 
 
 def test_solve_console_line_reports_index(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        _config(solver={"M": 128, "max_iters": 1, "newton_switch": 1e-14}),
-    )
+    cfg = _write(tmp_path, _config(solver={"M": 128, "newton_max_iter": 0}))
     main(["solve", "--config", cfg, "--out", str(tmp_path)])
     index = json.loads((tmp_path / "report.json").read_text())["morse_index"]
     assert isinstance(index, int) and index >= 0

@@ -9,23 +9,23 @@ from scipy import integrate
 from deltafield.field import (
     FieldState,
     default_grading,
-    dilate,
     gauge_fix,
     load_profile,
     make_grid,
     resample,
     save_profile,
-    scale,
 )
-from deltafield.functional import coercive_norm_sq
 from deltafield.greens import GreenKernel, InteractionStrength, green_l2_norm_sq
 from oracles import (
     add,
     change_lambda,
+    coercive_norm_sq,
+    dilate,
     h1_alpha_norm_sq,
     h1_alpha_total,
     l2_inner,
     nodal_at_gauss_gather,
+    scale,
     zero_state,
 )
 

@@ -5,19 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from deltafield.field import (
-    FieldState,
-    dilate,
-    gauge_fix,
-    make_grid,
-    scale,
-)
+from deltafield.field import FieldState, gauge_fix, make_grid
 from deltafield.functional import (
     _norms,
     arrow_solve,
     blowup_diagnostic,
     boundary_residual,
-    coercive_norm_sq,
     derivative,
     energy,
     gradient_norm,
@@ -34,12 +27,15 @@ from deltafield.nonlinearity import power_family
 from deltafield.solver import solve_lambda
 from oracles import (
     add,
+    coercive_norm_sq,
+    dilate,
     extended_energy,
     extended_energy_dtheta,
     gradient_system,
     h1_alpha_total,
     l2_inner,
     radial_laplacian,
+    scale,
     stiffness_inner_two_diffs,
     zero_state,
 )

@@ -1,4 +1,4 @@
-"""Tests for the shooting baseline, path construction and the full solver."""
+"""Tests for the shooting baseline, the Newton starts and the full solver."""
 
 import math
 
@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
 
-from deltafield.field import FieldState, make_grid, save_profile
-from deltafield.functional import energy, gradient_norm, pohozaev_residual
+from deltafield.field import FieldState, gauge_fix, make_grid, save_profile
+from deltafield.functional import (
+    energy,
+    gradient_norm,
+    hessian_blocks,
+    morse_index,
+    pohozaev_residual,
+    verify,
+)
 from deltafield.greens import EULER_GAMMA, InteractionStrength
 from deltafield.nonlinearity import (
     NonlinearitySpec,
@@ -28,6 +35,7 @@ from deltafield.solver import (
     NewtonError,
     SolverConfig,
     _shoot,
+    convergence_gates,
     initial_path,
     mountain_pass,
     newton_refine,
@@ -232,46 +240,43 @@ def test_solve_lambda_clamps_below_threshold():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(path_knots=8)
-    with pytest.raises(ValueError):
         SolverConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(newton_tol=-1.0)
 
 
 # ---------------------------------------------------------------------------
-# path construction
+# Newton starts
 # ---------------------------------------------------------------------------
 
 
-def test_initial_path_endpoints():
-    config = SolverConfig(M=256, path_knots=17)
-    knots, _, lam = initial_path(SPEC3, STR3, config)
-    assert len(knots) == 17
-    assert energy(knots[0], SPEC3, STR3).total == pytest.approx(0.0, abs=1e-12)
-    assert energy(knots[-1], SPEC3, STR3).total < 0
-    assert all(k.lam == lam for k in knots)
-    assert all(k.grid is knots[0].grid for k in knots)
-    # mid-path knots carry the small charge bump
-    assert float(np.real(knots[8].charge)) > 0
+def test_initial_path_lists_the_seed_then_the_ladder():
+    config = SolverConfig(M=256)
+    starts, m0, lam = initial_path(SPEC3, STR3, config)
+    pairs = [start for start, _ in starts]
+    assert pairs[0] == (1.0, 0.0)
+    assert pairs[1:] == [
+        (c, q0) for c in (1.0, 0.5, 1.5, 2.0) for q0 in (0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0)
+    ]
+    seed = starts[0][1]
+    assert m0 > 0 and seed.lam == lam and seed.charge == 0.0
+    for (c, q0), state in starts:
+        assert state.grid is seed.grid and state.lam == lam
+        assert state.charge == q0
+        assert np.array_equal(state.phi, c * seed.phi)
 
 
-def test_initial_path_2d_reaches_negative_energy():
-    # the 2D kinetic term is scale-invariant, so this exercises the
-    # amplitude-scaling fallback
-    config = SolverConfig(M=256, path_knots=17)
-    knots, _, _ = initial_path(SPEC2, STR2, config)
-    assert energy(knots[-1], SPEC2, STR2).total < 0
-
-
-def test_initial_path_file_seed(tmp_path):
+def test_initial_path_file_seed_is_the_first_start(tmp_path):
     grid = make_grid(3, 20.0, 256, 2.0)
     st = FieldState(grid, 1.0, 0.0, 2.0 * np.exp(-grid.nodes**2))
     path = tmp_path / "seed.csv"
     save_profile(st, str(path))
     config = SolverConfig(M=256, seed_profile="file", seed_file=str(path))
-    knots, _, _ = initial_path(SPEC3, STR3, config)
-    assert energy(knots[-1], SPEC3, STR3).total < 0
+    starts, m0, _ = initial_path(SPEC3, STR3, config)
+    seed = starts[0][1]
+    assert m0 is None
+    assert seed.grid.M == 256 and seed.charge == 0.0
+    assert float(seed.phi[0]) == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,6 @@ def test_initial_path_file_seed(tmp_path):
 def solve3():
     config = SolverConfig(
         M=512,
-        max_iters=200,
         grad_tol=1e-7,
         grading_exponent=4.0,
         seed_profile="scalar_ground_state",
@@ -305,12 +309,15 @@ def test_mountain_pass_sigma_below_scalar_level(solve3):
 
 
 def test_mountain_pass_trace_and_metadata(solve3):
+    # the trace is the Newton residual history of the seed's start
     result = solve3
-    assert len(result.trace) >= 1
+    assert result.newton_start == (1.0, 0.0)
     assert result.iterations >= 1
+    assert len(result.trace) == result.iterations + 1
     assert result.p_regime is not None and "5/2" in result.p_regime
-    sigmas = [t[1] for t in result.trace]
-    assert sigmas[-1] <= sigmas[0] + 1e-12
+    residuals = list(result.trace)
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+    assert residuals[-1] <= SolverConfig().newton_tol
 
 
 def test_mountain_pass_state_is_real_gauge(solve3):
@@ -344,72 +351,19 @@ def test_newton_error_reports_history():
 
 
 def test_bump_seed_smoke():
-    config = SolverConfig(M=256, max_iters=5, seed_profile="bump", newton_switch=1e-12)
+    config = SolverConfig(M=256, seed_profile="bump")
     result = mountain_pass(SPEC3, STR3, config)
-    assert result.iterations <= 5
     assert np.isfinite(result.sigma_estimate)
-
-
-def test_reparametrized_paths_stay_on_one_grid(monkeypatch):
-    # _reparametrize and _state_dist compare nodal values, which only makes
-    # sense when every knot lives on the same grid
-    import deltafield.solver as solver
-
-    radii = []
-    reparametrize = solver._reparametrize
-
-    def recording(knots, *args):
-        radii.append({k.grid.r_max for k in knots})
-        return reparametrize(knots, *args)
-
-    monkeypatch.setattr(solver, "_reparametrize", recording)
-    mountain_pass(SPEC3, STR3, SolverConfig(M=256, max_iters=200))
-    assert radii
-    mixed = sum(len(r) > 1 for r in radii)
-    assert mixed == 0, "%d of %d reparametrized paths mix grids" % (mixed, len(radii))
-
-
-def test_sweeps_reuse_known_energies_and_segment_lengths(monkeypatch):
-    # a sweep measures the 16 segments once and, after moving knot j, only the
-    # 2 segments at j; no state's energy is evaluated twice (the endpoints and
-    # the maximizing knot already have theirs in the sweep's energy list)
-    import deltafield.solver as solver
-
-    dists, states, stale = [], [], []
-    state_dist, energy_ = solver._state_dist, solver.energy
-    reparametrize = solver._reparametrize
-
-    def counting(*args):
-        dists.append(args)
-        return state_dist(*args)
-
-    def recording(state, *args):
-        states.append(state)  # held, so ids stay unique
-        return energy_(state, *args)
-
-    def checking(knots, seg):
-        fresh = [state_dist(b, a, STR3) for a, b in zip(knots, knots[1:])]
-        stale.append(seg != fresh)
-        return reparametrize(knots, seg)
-
-    monkeypatch.setattr(solver, "_state_dist", counting)
-    monkeypatch.setattr(solver, "energy", recording)
-    monkeypatch.setattr(solver, "_reparametrize", checking)
-    result = mountain_pass(SPEC3, STR3, SolverConfig(M=256, max_iters=20))
-    # every sweep descends: no collapse branch, no Newton handoff inside the loop
-    assert result.iterations == len(result.trace) == 20
-    assert len(dists) == 18 * result.iterations
-    assert len({id(s) for s in states}) == len(states)
-    # the kept lengths are exactly those of the knots being redistributed
-    assert len(stale) == 20 and not any(stale)
+    assert result.newton_start == (1.0, 0.0)
+    assert result.morse_index == 1
 
 
 def test_collapse_branch_shoots_once(monkeypatch):
-    # 2D cubic, alpha = 0, omega = 1 <= omega_alpha: the path collapses onto
-    # the zero endpoint and the multistart ladder reuses the path's seed
+    # 2D cubic, alpha = 0, omega = 1 <= omega_alpha: the seed's start does not
+    # certify and every ladder start reuses the seed's one shot
     import deltafield.solver as solver
 
-    calls = {"shoot": 0, "multistart": 0}
+    calls = {"shoot": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -419,24 +373,24 @@ def test_collapse_branch_shoots_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(solver, "scalar_ground_state", counting("shoot", solver.scalar_ground_state))
-    monkeypatch.setattr(solver, "_multistart_newton", counting("multistart", solver._multistart_newton))
-    config = SolverConfig(M=128, max_iters=200, grad_tol=1e-7, grading_exponent=4.0)
-    mountain_pass(SPEC2, STR2, config)
-    assert calls == {"shoot": 1, "multistart": 1}
+    config = SolverConfig(M=128, grad_tol=1e-7, grading_exponent=4.0)
+    result = mountain_pass(SPEC2, STR2, config)
+    assert calls == {"shoot": 1}
+    assert result.newton_start not in (None, (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
-# the multistart ladder stops at the first Morse-certified start
+# the starts stop at the first Morse-certified limit
 # ---------------------------------------------------------------------------
 
-LADDER_CONFIG = SolverConfig(M=512, max_iters=200, grad_tol=1e-7, grading_exponent=4.0)
+LADDER_CONFIG = SolverConfig(M=512, grad_tol=1e-7, grading_exponent=4.0)
 
 
 @pytest.fixture(scope="module")
 def ladder_2d():
     # 2D cubic, alpha = 0, omega = 1 < omega_alpha: the zero state has index
-    # 1, the path collapses, and the ladder's 3rd start (c = 1, q0 = 2) is the
-    # first nontrivial limit of positive energy and index 2
+    # 1; the seed's start does not certify, and the ladder's 3rd start (c = 1,
+    # q0 = 2) is the first nontrivial limit of positive energy and index 2
     import deltafield.solver as solver
 
     calls = []
@@ -454,13 +408,14 @@ def ladder_2d():
 
 def test_ladder_stops_at_first_certified_start(ladder_2d):
     result, calls = ladder_2d
-    assert calls == [0.5, 1.0, 2.0]
+    assert calls == [0.0, 0.5, 1.0, 2.0]
+    assert result.newton_start == (1.0, 2.0)
     assert result.morse_index == 2
     assert result.sigma_estimate > 0
 
 
 def test_full_ladder_gives_the_early_exit_point(ladder_2d, monkeypatch):
-    # with no start certified the ladder runs all 28 starts and falls back on
+    # with no start certified all 29 starts run and the solve falls back on
     # the smallest positive energy: the same critical point
     import deltafield.solver as solver
 
@@ -470,15 +425,32 @@ def test_full_ladder_gives_the_early_exit_point(ladder_2d, monkeypatch):
     assert full.sigma_estimate == pytest.approx(early.sigma_estimate, rel=1e-12, abs=0)
     assert abs(full.state.charge) == pytest.approx(abs(early.state.charge), rel=1e-12, abs=0)
     assert not full.converged  # index -1 is not the target 0
+    assert full.newton_start is None
 
 
 def test_converged_requires_the_morse_index_certificate():
-    # 3D p = 2.5, alpha = 1 stopped after 20 sweeps: Newton from the path max
-    # lands on a genuine critical point of index 2 (sigma = 635.64, far above
-    # the index-1 level 72.09) whose residual gates all pass
-    config = SolverConfig(M=2048, max_iters=20, grad_tol=1e-7, grading_exponent=4.0)
-    result = mountain_pass(SPEC3, STR3, config)
-    assert result.sigma_estimate == pytest.approx(635.64, rel=1e-4)
-    assert result.report.gradient_norm <= config.grad_tol
-    assert result.morse_index == 2
-    assert not result.converged
+    # 3D p = 2.5, alpha = 1: Newton from (c = 3, q0 = 20) lands on a genuine
+    # critical point of index 2 (sigma = 635.64, far above the index-1 level
+    # 72.09) whose residual gates all pass; the index gate alone fails
+    config = SolverConfig(M=2048, grad_tol=1e-7, grading_exponent=4.0)
+    starts, _, lam = initial_path(SPEC3, STR3, config)
+    seed = starts[0][1]
+    start = FieldState(seed.grid, lam, 20.0, 3.0 * np.asarray(seed.phi))
+    point = gauge_fix(newton_refine(start, SPEC3, STR3, config)[0])
+    report = verify(point, SPEC3, STR3)
+    index = morse_index(*hessian_blocks(point, SPEC3, STR3))
+    gates = convergence_gates(report, index, 1, STR3, config)
+    assert report.energy.total == pytest.approx(635.64, rel=1e-4)
+    assert index == 2
+    assert [name for name, passed in gates.items() if not passed] == ["morse_index"]
+    assert not all(gates.values())
+
+
+@pytest.mark.parametrize("alpha,sigma", [(0.0, 0.45845), (-0.05, 0.0046642)])
+def test_3d_nonpositive_alpha_gives_index_1(alpha, sigma):
+    # the seed's Newton limit is not the mountain-pass point here (at alpha = 0
+    # it has index 2 and sigma = 189.20); a ladder start certifies instead
+    result = mountain_pass(SPEC3, InteractionStrength(alpha, 3), LADDER_CONFIG)
+    assert result.sigma_estimate == pytest.approx(sigma, rel=1e-4)
+    assert result.morse_index == 1
+    assert result.newton_start == (0.5, 0.5)
